@@ -190,7 +190,7 @@ RunResult RunOne(TempDir* dir, size_t n_keys, size_t tail_ops,
   std::vector<uint64_t> ids;
   ids.reserve(rec.records.size());
   for (const persist::RecoveredRecord& r : rec.records) {
-    ids.push_back(store.Append(r.key_ref(), r.value));
+    ids.push_back(store.Append(r.key_ref(), r.value).value());
   }
   RowexHotTrie<net::RecordKeyExtractor> trie{net::RecordKeyExtractor(&store)};
   trie.BulkLoad(ids.data(), ids.size(), threads);
@@ -248,6 +248,7 @@ int main(int argc, char** argv) {
   hot::bench::BenchJson json("recovery");
   json.meta()
       .Add("threads", threads)
+      .Add("hardware_threads", std::thread::hardware_concurrency())
       .Add("quick", quick)
       .Add("phases", std::string("recover=mmap+merge build=bulkload"));
 

@@ -99,12 +99,20 @@ class EpochManager {
     // Nested guard: the outer pin already protects everything this thread
     // can observe; re-pinning at a newer epoch would lose that protection.
     if (s.depth.fetch_add(1, std::memory_order_relaxed) > 0) return;
-    uint64_t e = global_epoch_.load(std::memory_order_acquire);
-    s.epoch.store(e, std::memory_order_release);
-    // Re-read to close the race where the global epoch advanced between the
-    // load and the store; one retry suffices because we are now visible.
-    uint64_t e2 = global_epoch_.load(std::memory_order_acquire);
-    if (e2 != e) s.epoch.store(e2, std::memory_order_release);
+    // Pinning an epoch older than the current one only holds back more
+    // garbage, so a global advance after this load needs no re-pin — and a
+    // re-pin would be a second store the fence below has to cover.
+    s.epoch.store(global_epoch_.load(std::memory_order_acquire),
+                  std::memory_order_release);
+    // The pin must be visible before this thread loads any tree pointer.
+    // A release store orders only what came BEFORE it: the caller's later
+    // loads may still complete while the store sits in the store buffer
+    // (C++ allows this store->load reordering, and so does x86-TSO).  A
+    // collector scanning the slots in that window would see this thread
+    // idle and free a node the thread has just loaded.  This seq_cst fence
+    // pairs with the one in Retire (crossbeam-epoch's pin does the same);
+    // the argument is written there.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 
   void Leave() {
@@ -116,10 +124,27 @@ class EpochManager {
     MaybeCollect(slot);
   }
 
-  // Defers destruction of `ptr` until no thread can still observe it.
+  // Defers destruction of `ptr` until no thread can still observe it.  The
+  // caller must have unlinked `ptr` (made it unreachable to new readers)
+  // before the call.
   void Retire(void* ptr, void (*deleter)(void*)) {
     size_t slot = RegisterThread();
     auto& local = limbo_[slot];
+    // This fence pairs with the one in Enter; of the two, one comes first
+    // in the single total order of seq_cst operations, and either way no
+    // reader pinned at p can be left holding `ptr` when it is freed:
+    //  - Enter's fence first.  The tag loaded below is then >= p: a tag
+    //    older than the epoch the reader loaded before its fence would
+    //    put this fence first.  Every Collect of this item runs after this
+    //    fence (on this thread, or on the slot's next owner through the
+    //    ReleaseSlot/AcquireSlot hand-off), so its slot scan reads the pin
+    //    or a later value of the reader's slot.  The pin keeps
+    //    min_active <= p < tag + 2, so the item stays; a later value is
+    //    the reader's release-store unpin (or a later pin), which orders
+    //    all of the pinned section's loads before the free.
+    //  - This fence first.  The reader's tree loads follow its fence, so
+    //    they see the unlink, and `ptr` is out of their reach.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     local.items.push_back(
         {ptr, deleter, global_epoch_.load(std::memory_order_acquire)});
     retired_total_.Add();

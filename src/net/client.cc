@@ -8,6 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstddef>
+
 namespace hot {
 namespace net {
 

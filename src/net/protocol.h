@@ -52,6 +52,7 @@
 #ifndef HOT_NET_PROTOCOL_H_
 #define HOT_NET_PROTOCOL_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -108,6 +109,21 @@ inline void PutU32(std::vector<uint8_t>* out, uint32_t v) {
 }
 inline void PutU64(std::vector<uint8_t>* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+// Fixed-offset stores for the server's reply encoders, which size the
+// whole frame up front instead of appending byte by byte: one unaligned
+// store each.
+inline void StoreU32(uint8_t* p, uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+inline void StoreU64(uint8_t* p, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
 }
 inline uint16_t GetU16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] | (p[1] << 8));
@@ -233,24 +249,41 @@ inline ParseVerdict ParseRequest(const uint8_t* body, size_t body_len,
 }
 
 // --- reply encoding (server side) ------------------------------------------
+//
+// GET, PUT and DELETE replies have a fixed size per outcome: the encoders
+// grow *out once and store every field at its offset.
+
+namespace detail {
+// Appends a reply frame header for a body of `body_len` bytes and returns
+// the first payload byte (body_len - kMinBody bytes are left to fill).
+inline uint8_t* BeginFixedReply(std::vector<uint8_t>* out, uint64_t id,
+                                uint8_t status, size_t body_len) {
+  const size_t at = out->size();
+  out->resize(at + 4 + body_len);
+  uint8_t* p = out->data() + at;
+  StoreU32(p, static_cast<uint32_t>(body_len));
+  StoreU64(p + 4, id);
+  p[12] = status;
+  return p + 13;
+}
+}  // namespace detail
 
 inline void EncodeGetReply(std::vector<uint8_t>* out, uint64_t id, bool found,
                            uint64_t value) {
-  size_t at = detail::BeginFrame(out, id, found ? kOk : kNotFound);
-  if (found) PutU64(out, value);
-  detail::EndFrame(out, at);
+  uint8_t* p = detail::BeginFixedReply(out, id, found ? kOk : kNotFound,
+                                       kMinBody + (found ? 8 : 0));
+  if (found) StoreU64(p, value);
 }
 inline void EncodePutReply(std::vector<uint8_t>* out, uint64_t id,
                            bool created, uint64_t prev) {
-  size_t at = detail::BeginFrame(out, id, kOk);
-  out->push_back(created ? 1 : 0);
-  if (!created) PutU64(out, prev);
-  detail::EndFrame(out, at);
+  uint8_t* p =
+      detail::BeginFixedReply(out, id, kOk, kMinBody + (created ? 1 : 9));
+  p[0] = created ? 1 : 0;
+  if (!created) StoreU64(p + 1, prev);
 }
 inline void EncodeDeleteReply(std::vector<uint8_t>* out, uint64_t id,
                               bool removed) {
-  size_t at = detail::BeginFrame(out, id, removed ? kOk : kNotFound);
-  detail::EndFrame(out, at);
+  detail::BeginFixedReply(out, id, removed ? kOk : kNotFound, kMinBody);
 }
 // Scan replies are built incrementally: begin, append entries, end.
 struct ScanReplyBuilder {

@@ -9,8 +9,10 @@
 // returns the escaped key bytes owned by the record, GET resolves id ->
 // value, SCAN resolves id -> (raw key, value).  Overwrites and deletes
 // leave the superseded record behind (log-structured; reclaiming dead
-// records is future work — ServerStats reports live vs appended so the
-// growth is visible).
+// records is future work).  RecordStore::appended() minus the index's size
+// (KvServer::live_keys()) is the dead-record count; ServerStats does not
+// report either yet.  Because nothing is reclaimed, a long-running server
+// can fill the store: Append then refuses (capacity()), in every build.
 //
 // Key escape.  Trie keys must be prefix-free (common/key.h); wire keys are
 // arbitrary bytes, so "append a terminator" alone is not enough ("a\0" vs
@@ -37,12 +39,14 @@
 #ifndef HOT_NET_RECORD_STORE_H_
 #define HOT_NET_RECORD_STORE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/extractors.h"
@@ -52,27 +56,50 @@
 namespace hot {
 namespace net {
 
-// Appends the escaped (prefix-free, order-preserving) form of `raw` to
-// *out.  Returns the number of bytes appended.
-inline size_t EscapeKey(KeyRef raw, std::vector<uint8_t>* out) {
-  size_t before = out->size();
-  for (size_t i = 0; i < raw.size(); ++i) {
-    uint8_t b = raw.data()[i];
-    out->push_back(b);
-    if (b == 0x00) out->push_back(0x01);
-  }
-  out->push_back(0x00);
-  out->push_back(0x00);
-  return out->size() - before;
-}
-
 // Escaped length without materializing: raw length + embedded NULs + 2.
 inline size_t EscapedKeyLength(KeyRef raw) {
-  size_t nuls = 0;
-  for (size_t i = 0; i < raw.size(); ++i) {
-    if (raw.data()[i] == 0x00) ++nuls;
+  size_t len = raw.size() + 2;
+  const uint8_t* p = raw.data();
+  const uint8_t* const end = p + raw.size();
+  while (p != end) {
+    p = static_cast<const uint8_t*>(std::memchr(p, 0x00, end - p));
+    if (p == nullptr) break;
+    ++len;
+    ++p;
   }
-  return raw.size() + nuls + 2;
+  return len;
+}
+
+// Writes the escaped (prefix-free, order-preserving) form of `raw` to
+// `dst`, which must have room for EscapedKeyLength(raw) bytes, and returns
+// the number of bytes written.  Runs between NUL bytes are copied whole, so
+// a key without NULs costs one memchr and one memcpy.
+inline size_t EscapeKeyTo(KeyRef raw, uint8_t* dst) {
+  uint8_t* d = dst;
+  const uint8_t* p = raw.data();
+  const uint8_t* const end = p + raw.size();
+  while (p != end) {
+    const uint8_t* nul =
+        static_cast<const uint8_t*>(std::memchr(p, 0x00, end - p));
+    const uint8_t* run_end = nul != nullptr ? nul : end;
+    std::memcpy(d, p, run_end - p);
+    d += run_end - p;
+    if (nul == nullptr) break;
+    *d++ = 0x00;
+    *d++ = 0x01;
+    p = nul + 1;
+  }
+  *d++ = 0x00;
+  *d++ = 0x00;
+  return static_cast<size_t>(d - dst);
+}
+
+// Appends the escaped form of `raw` to *out.  Returns the number of bytes
+// appended.
+inline size_t EscapeKey(KeyRef raw, std::vector<uint8_t>* out) {
+  const size_t before = out->size();
+  out->resize(before + EscapedKeyLength(raw));
+  return EscapeKeyTo(raw, out->data() + before);
 }
 
 // Whether `raw` may be indexed at all (escaped form fits the tries'
@@ -83,6 +110,9 @@ inline bool KeyFitsIndex(KeyRef raw) {
 
 class RecordStore {
  public:
+  // Largest capacity a store can be built with.
+  static constexpr uint64_t kMaxRecords = uint64_t{1} << 30;
+
   struct Record {
     uint64_t value;
     uint32_t raw_len;
@@ -93,21 +123,27 @@ class RecordStore {
     KeyRef escaped_key() const { return KeyRef(bytes + raw_len, esc_len); }
   };
 
-  RecordStore() = default;
+  // `capacity` bounds the records the store will ever hold (clamped to
+  // kMaxRecords).
+  explicit RecordStore(uint64_t capacity = kMaxRecords)
+      : capacity_(std::min(capacity, kMaxRecords)) {}
   RecordStore(const RecordStore&) = delete;
   RecordStore& operator=(const RecordStore&) = delete;
 
-  // Appends one record; returns its id (dense, starting at 0, < 2^63 —
-  // valid as a trie value).  `raw` must satisfy KeyFitsIndex.
-  uint64_t Append(KeyRef raw, uint64_t value) {
+  // Appends one record and returns its id (dense, starting at 0, <
+  // capacity() — valid as a trie value), or nullopt when the store already
+  // holds capacity() records.  `raw` must satisfy KeyFitsIndex.
+  std::optional<uint64_t> Append(KeyRef raw, uint64_t value) {
     assert(KeyFitsIndex(raw));
     std::lock_guard<std::mutex> guard(append_mu_);
     uint64_t id = size_.load(std::memory_order_relaxed);
+    if (id >= capacity_) return std::nullopt;
     size_t chunk = static_cast<size_t>(id / kChunkRecords);
-    assert(chunk < kMaxChunks && "RecordStore capacity exhausted");
     Chunk* c = chunks_[chunk].load(std::memory_order_relaxed);
     if (c == nullptr) {
-      c = new Chunk();
+      // Default-initialized: a record slot and its key bytes are written
+      // before the id is handed out, so zeroing them first buys nothing.
+      c = new Chunk;
       chunks_[chunk].store(c, std::memory_order_release);
     }
     Record& rec = c->records[id % kChunkRecords];
@@ -124,13 +160,10 @@ class RecordStore {
       dst = c->overflow.back().get();
     }
     if (raw.size() != 0) std::memcpy(dst, raw.data(), raw.size());
-    std::vector<uint8_t> esc;
-    esc.reserve(esc_len);
-    EscapeKey(raw, &esc);
-    std::memcpy(dst + raw.size(), esc.data(), esc.size());
+    EscapeKeyTo(raw, dst + raw.size());
     rec.value = value;
     rec.raw_len = static_cast<uint32_t>(raw.size());
-    rec.esc_len = static_cast<uint32_t>(esc.size());
+    rec.esc_len = static_cast<uint32_t>(esc_len);
     rec.bytes = dst;
     size_.store(id + 1, std::memory_order_relaxed);
     bytes_.fetch_add(need, std::memory_order_relaxed);
@@ -148,6 +181,7 @@ class RecordStore {
   // Appended record count / key-byte footprint (quiescent-only exactness).
   uint64_t appended() const { return size_.load(std::memory_order_relaxed); }
   uint64_t key_bytes() const { return bytes_.load(std::memory_order_relaxed); }
+  uint64_t capacity() const { return capacity_; }
 
   ~RecordStore() {
     for (auto& slot : chunks_) {
@@ -158,7 +192,7 @@ class RecordStore {
  private:
   static constexpr size_t kChunkRecords = 1u << 14;  // 16K records per chunk
   static constexpr size_t kChunkBytes = kChunkRecords * 64;
-  static constexpr size_t kMaxChunks = 1u << 16;  // 2^30 records total
+  static constexpr size_t kMaxChunks = kMaxRecords / kChunkRecords;
 
   struct Chunk {
     Record records[kChunkRecords];
@@ -167,6 +201,7 @@ class RecordStore {
     std::vector<std::unique_ptr<uint8_t[]>> overflow;
   };
 
+  const uint64_t capacity_;
   std::mutex append_mu_;
   std::atomic<Chunk*> chunks_[kMaxChunks] = {};
   std::atomic<uint64_t> size_{0};

@@ -114,7 +114,7 @@ namespace {
 
 struct Conn {
   int fd = -1;
-  std::vector<uint8_t> in;    // received, not yet parsed
+  std::vector<uint8_t> in;    // an incomplete frame carried between reads
   std::vector<uint8_t> out;   // replies not yet written
   size_t out_off = 0;         // prefix of `out` already written
   bool want_close = false;    // close once `out` drains (fatal frame error)
@@ -126,9 +126,10 @@ struct Conn {
   size_t pending_out() const { return out.size() - out_off; }
 };
 
-// One queued GET: the escaped key lives in the worker's batch arena (the
-// connection's input buffer is compacted between frames, so the key bytes
-// must be copied out anyway — copying the escaped form kills two birds).
+// One queued GET: the escaped key lives in the worker's batch arena (frames
+// are parsed out of a read buffer the next read(2) overwrites, so the key
+// bytes must be copied out anyway — copying the escaped form kills two
+// birds).
 struct PendingGet {
   Conn* conn;
   uint64_t req_id;
@@ -278,13 +279,13 @@ struct KvServer::Worker {
   }
 
   void ReadAndParse(Conn* c) {
-    char buf[64 * 1024];
+    uint8_t buf[64 * 1024];
     while (true) {
       ssize_t n = ::read(c->fd, buf, sizeof(buf));
       if (n > 0) {
         server->stats_->bytes_in.fetch_add(static_cast<uint64_t>(n),
                                            std::memory_order_relaxed);
-        c->in.insert(c->in.end(), buf, buf + n);
+        Consume(c, buf, static_cast<size_t>(n));
         if (static_cast<size_t>(n) < sizeof(buf)) break;  // drained
       } else if (n == 0) {
         c->dead = true;  // peer closed; pending replies are undeliverable
@@ -298,40 +299,60 @@ struct KvServer::Worker {
         return;
       }
     }
-    ParseFrames(c);
+    MaybePause(c);
   }
 
-  void ParseFrames(Conn* c) {
-    size_t consumed_total = 0;
+  // Handles the bytes of one read(2).  Whole frames are parsed in place;
+  // only an incomplete trailing frame is copied into c->in.  The next read
+  // first tops that frame up — its length prefix, then the body the prefix
+  // declares — and parses it from c->in, then goes back to parsing in
+  // place.  Bytes after a fatal framing error are dropped unread.
+  void Consume(Conn* c, const uint8_t* data, size_t n) {
+    while (!c->in.empty() && n > 0 && !c->want_close) {
+      const size_t have = c->in.size();
+      const size_t frame = have < 4 ? 4 : 4 + size_t{GetU32(c->in.data())};
+      const size_t take = std::min(frame - have, n);
+      c->in.insert(c->in.end(), data, data + take);
+      data += take;
+      n -= take;
+      if (ParseFrames(c, c->in.data(), c->in.size()) > 0) c->in.clear();
+    }
+    size_t used = ParseFrames(c, data, n);
+    if (used < n && !c->want_close) c->in.assign(data + used, data + n);
+  }
+
+  // Handles every complete frame at the front of [data, data + n) and
+  // returns the number of bytes they span.
+  size_t ParseFrames(Conn* c, const uint8_t* data, size_t n) {
+    size_t used = 0;
     const ServerOptions& opt = server->options_;
     while (!c->want_close) {
       const uint8_t* body;
       size_t body_len, consumed;
-      FrameVerdict v =
-          NextFrame(c->in.data() + consumed_total,
-                    c->in.size() - consumed_total, opt.max_frame_body, &body,
-                    &body_len, &consumed);
+      FrameVerdict v = NextFrame(data + used, n - used, opt.max_frame_body,
+                                 &body, &body_len, &consumed);
       if (v == FrameVerdict::kNeedMore) break;
       if (v == FrameVerdict::kBadLength) {
         // The stream cannot be re-synchronized after an invalid length:
         // reply once (id 0 — the frame never yielded one) and close.
         server->stats_->protocol_errors.fetch_add(1,
                                                   std::memory_order_relaxed);
-        EncodeErrorReply(&c->out, 0, kBadFrame, "invalid frame length");
-        server->stats_->replies_out.fetch_add(1, std::memory_order_relaxed);
+        ErrorReply(c, 0, kBadFrame, "invalid frame length");
         c->want_close = true;
-        Touch(c);
         break;
       }
       server->stats_->frames_in.fetch_add(1, std::memory_order_relaxed);
       HandleFrame(c, body, body_len);
-      consumed_total += consumed;
+      used += consumed;
     }
-    if (consumed_total > 0) {
-      c->in.erase(c->in.begin(),
-                  c->in.begin() + static_cast<ptrdiff_t>(consumed_total));
-    }
-    MaybePause(c);
+    return used;
+  }
+
+  void ErrorReply(Conn* c, uint64_t req_id, uint8_t status,
+                  const std::string& message) {
+    EncodeErrorReply(&c->out, req_id, status, message);
+    server->stats_->replies_out.fetch_add(1, std::memory_order_relaxed);
+    Touch(c);
   }
 
   // Waits out the durability contract of an appended record (persist/wal.h
@@ -345,11 +366,9 @@ struct KvServer::Worker {
     if (server->wal_ == nullptr) return true;
     std::string werr;
     if (server->wal_->Commit(lsn, &werr)) return true;
-    AtomicStats& st = *server->stats_;
-    st.wal_commit_failures.fetch_add(1, std::memory_order_relaxed);
-    EncodeErrorReply(&c->out, req_id, kServerError, "wal commit: " + werr);
-    st.replies_out.fetch_add(1, std::memory_order_relaxed);
-    Touch(c);
+    server->stats_->wal_commit_failures.fetch_add(1,
+                                                  std::memory_order_relaxed);
+    ErrorReply(c, req_id, kServerError, "wal commit: " + werr);
     return false;
   }
 
@@ -363,9 +382,7 @@ struct KvServer::Worker {
           v == ParseVerdict::kParseKeyTooLong ? kKeyTooLong : kBadRequest;
       (status == kKeyTooLong ? st.keys_too_long : st.bad_requests)
           .fetch_add(1, std::memory_order_relaxed);
-      EncodeErrorReply(&c->out, req.id, status, perr);
-      st.replies_out.fetch_add(1, std::memory_order_relaxed);
-      Touch(c);
+      ErrorReply(c, req.id, status, perr);
       return;
     }
     switch (req.op) {
@@ -384,30 +401,37 @@ struct KvServer::Worker {
         st.puts.fetch_add(1, std::memory_order_relaxed);
         if (!KeyFitsIndex(req.key)) {
           st.keys_too_long.fetch_add(1, std::memory_order_relaxed);
-          EncodeErrorReply(&c->out, req.id, kKeyTooLong,
-                           "escaped key exceeds index limit");
-          st.replies_out.fetch_add(1, std::memory_order_relaxed);
-          Touch(c);
+          ErrorReply(c, req.id, kKeyTooLong, "escaped key exceeds index limit");
           break;
         }
         // Log before apply, both under the key's write stripe: the WAL's
         // LSN order and the index's apply order agree per key, so
         // recovery's last-LSN-wins replay reproduces exactly what clients
-        // observed.  The durability wait (Commit) happens after the stripe
-        // is released — group commit still amortizes across keys — and a
-        // commit failure refuses the ack: never acknowledge what recovery
-        // could not reproduce.
+        // observed.  The record slot is taken before the WAL append: a PUT
+        // the full store refuses is never logged, so it cannot come back
+        // after a restart.  The durability wait (Commit) happens after the
+        // stripe is released — group commit still amortizes across keys —
+        // and a commit failure refuses the ack: never acknowledge what
+        // recovery could not reproduce.
         uint64_t lsn = 0;
+        std::optional<uint64_t> id;
         std::optional<uint64_t> prev_id;
         {
           std::unique_lock<std::mutex> stripe =
               server->WriteStripeLock(req.key);
-          if (server->wal_ != nullptr) {
-            lsn = server->wal_->Append(persist::kWalPut, req.key, req.value);
+          id = server->store_.Append(req.key, req.value);
+          if (id.has_value()) {
+            if (server->wal_ != nullptr) {
+              lsn = server->wal_->Append(persist::kWalPut, req.key,
+                                         req.value);
+            }
+            KeyRef esc = server->store_.At(*id).escaped_key();
+            prev_id = server->index_->Upsert(*id, esc);
           }
-          uint64_t id = server->store_.Append(req.key, req.value);
-          KeyRef esc = server->store_.At(id).escaped_key();
-          prev_id = server->index_->Upsert(id, esc);
+        }
+        if (!id.has_value()) {
+          ErrorReply(c, req.id, kServerError, "record store full");
+          break;
         }
         if (!WalCommit(c, req.id, lsn)) break;
         uint64_t prev =
@@ -587,7 +611,12 @@ struct KvServer::Worker {
 // --- server lifecycle --------------------------------------------------------
 
 KvServer::KvServer(ServerOptions options)
-    : options_(std::move(options)), stats_(std::make_unique<AtomicStats>()) {
+    : KvServer(std::move(options), RecordStore::kMaxRecords) {}
+
+KvServer::KvServer(ServerOptions options, uint64_t store_capacity)
+    : options_(std::move(options)),
+      store_(store_capacity),
+      stats_(std::make_unique<AtomicStats>()) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.shards == 0) options_.shards = 1;
   force_scalar_.store(options_.force_scalar, std::memory_order_relaxed);
@@ -727,7 +756,16 @@ bool KvServer::RecoverAndOpenWal(std::string* error) {
   for (const ps::RecoveredRecord& r : rec.records) {
     // Every record passed KeyFitsIndex when it was first accepted.
     assert(KeyFitsIndex(r.key_ref()));
-    ids.push_back(store_.Append(r.key_ref(), r.value));
+    std::optional<uint64_t> id = store_.Append(r.key_ref(), r.value);
+    if (!id.has_value()) {
+      if (error != nullptr) {
+        *error = "recovered image holds " + std::to_string(n) +
+                 " keys, more than the record store's capacity of " +
+                 std::to_string(store_.capacity());
+      }
+      return false;
+    }
+    ids.push_back(*id);
   }
 
   if (n > 0) {

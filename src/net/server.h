@@ -144,7 +144,13 @@ class KvServer {
       ycsb::RangeShardedIndex<RowexHotTrie<RecordKeyExtractor>,
                               RecordKeyExtractor>;
 
+  // The record store holds RecordStore::kMaxRecords records; every PUT
+  // appends one, overwrites included, and none is reclaimed.  PUTs past
+  // that are refused with kServerError (and never logged).
   explicit KvServer(ServerOptions options = {});
+  // Test seam: the same server over a store of `store_capacity` records,
+  // so a test reaches the full-store refusal without 2^30 PUTs.
+  KvServer(ServerOptions options, uint64_t store_capacity);
   ~KvServer();
 
   KvServer(const KvServer&) = delete;

@@ -27,13 +27,17 @@
 //     key sample; use for skewed key spaces (URLs share "http…" prefixes,
 //     which would otherwise collapse every key into one shard).
 //
-// Routing is a binary search over the splitter list.  The search runs on a
-// precomputed array of 8-byte big-endian splitter prefixes (one u64 compare
-// per probe instead of a memcmp through a double indirection) and falls
-// back to full byte comparison only within equal-prefix runs — zero-padded
-// prefix order agrees with KeyRef::Compare whenever the prefixes differ.
-// A key's shard never changes (splitters are fixed after Reshard), so
-// per-key operation atomicity reduces to the shard's own synchronization.
+// Routing counts the splitters <= key.  Each splitter is kept as its first
+// 8 bytes in a big-endian u64 (zero-padded), and the key's prefix is one
+// 8-byte load plus a byteswap.  A branch-free lower bound over that sorted
+// u64 array counts the splitters whose prefix is below the key's — every
+// probe is a compare and a conditional add, so no probe outcome is
+// mispredicted.  Zero-padded prefix order agrees with KeyRef::Compare
+// whenever two prefixes differ, so only splitters that share the key's
+// prefix remain undecided.  Those form one run (the splitters ascend),
+// which is binary-searched with full byte comparisons.  A key's shard
+// never changes (splitters are fixed after Reshard), so per-key operation
+// atomicity reduces to the shard's own synchronization.
 //
 // Concurrency hygiene, learned the hard way (DESIGN.md §10 post-mortem):
 // each shard's index pointer and lock word live in one cache-line-aligned
@@ -57,6 +61,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/extractors.h"
 #include "common/key.h"
 #include "common/locks.h"
@@ -113,9 +118,9 @@ concept ShardHasLookupBatchIndexed =
 // KeyRef::Compare order (memcmp-then-length), because a zero pad byte is
 // minimal exactly like "ran out of key".  Equal prefixes decide nothing.
 inline uint64_t KeyPrefix64(KeyRef key) {
+  if (key.size() >= 8) return LoadBigEndian64(key.data());
   uint64_t p = 0;
-  const size_t n = key.size() < 8 ? key.size() : 8;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < key.size(); ++i) {
     p |= static_cast<uint64_t>(key.data()[i]) << (56 - 8 * i);
   }
   return p;
@@ -324,10 +329,9 @@ class RangeShardedIndex {
     });
   }
 
-  // Routes every key to its owning shard in one pass.  Prefix-first: one
-  // u64 compare per binary-search probe, full byte comparison only when a
-  // probe's splitter shares the key's first 8 bytes.  Agrees with ShardOf
-  // key-for-key (range_sharded_test.cc pins the parity).
+  // Routes every key to its owning shard in one pass (RouteOne per key).
+  // Agrees with ShardOf key-for-key (range_sharded_test.cc pins the
+  // parity).
   void RouteBatch(std::span<const KeyRef> keys, uint32_t* shard_out) const {
     for (size_t i = 0; i < keys.size(); ++i) {
       shard_out[i] = RouteOne(keys[i], detail::KeyPrefix64(keys[i]));
@@ -336,10 +340,10 @@ class RangeShardedIndex {
 
   // Batched point lookups, forwarded per shard to the underlying
   // memory-level-parallel descent (hot/batch_lookup.h).  One route pass
-  // (RouteBatch) replaces the old per-key memcmp binary search; a counting
-  // sort buckets key *ids* by shard in reusable thread-local scratch (the
-  // previous vector-of-vectors allocated every call, and every calling
-  // thread serialized on the allocator); each nonempty bucket then drives
+  // (RouteBatch) finds every key's shard; a counting sort buckets key
+  // *ids* by shard in reusable thread-local scratch (the previous
+  // vector-of-vectors allocated every call, and every calling thread
+  // serialized on the allocator); each nonempty bucket then drives
   // one AMAC group through the shard's LookupBatchIndexed, with the id
   // bucket acting as the scatter map.  out[i] is written exactly once, for
   // every i — including duplicate keys and keys of empty shards — so the
@@ -499,27 +503,43 @@ class RangeShardedIndex {
     }
   }
 
-  // Partition point over the splitters: count of splitters <= key.  Probes
-  // compare u64 prefixes; only an equal-prefix probe pays the full
-  // KeyRef::Compare through the splitter byte vector.
+  // Partition point over the splitters: count of splitters <= key.  The
+  // lower bound over prefix64_ halves the candidate range with a compare
+  // and an add instead of a branch; it ends on the first splitter whose
+  // prefix is not below the key's.  Splitters sharing the key's prefix
+  // follow it in a run, which can be long (url splitters share
+  // "https://"), so the rest is a binary search over [lo, n) in which a
+  // probe pays KeyRef::Compare only inside the run: O(log k) full
+  // compares per key, as many as a plain binary search.
   unsigned RouteOne(KeyRef key, uint64_t key_prefix) const {
-    unsigned lo = 0, hi = static_cast<unsigned>(prefix64_.size());
+    const size_t n = prefix64_.size();
+    if (n == 0) return 0;
+    const uint64_t* base = prefix64_.data();
+    for (size_t len = n; len > 1;) {
+      const size_t half = len / 2;
+      base += (base[half - 1] < key_prefix) * half;
+      len -= half;
+    }
+    size_t lo = static_cast<size_t>(base - prefix64_.data()) +
+                (*base < key_prefix);
+    if (lo == n || prefix64_[lo] != key_prefix) {
+      return static_cast<unsigned>(lo);
+    }
+    size_t hi = n;
     while (lo < hi) {
-      unsigned mid = lo + (hi - lo) / 2;
-      bool le;  // splitter[mid] <= key?
-      if (prefix64_[mid] != key_prefix) {
-        le = prefix64_[mid] < key_prefix;
-      } else {
-        KeyRef splitter(splitters_[mid].data(), splitters_[mid].size());
-        le = splitter.Compare(key) <= 0;
-      }
+      const size_t mid = lo + (hi - lo) / 2;
+      // Past lo every prefix is >= the key's, so a splitter <= key must
+      // share it.
+      const bool le = prefix64_[mid] == key_prefix &&
+                      KeyRef(splitters_[mid].data(), splitters_[mid].size())
+                              .Compare(key) <= 0;
       if (le) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
-    return lo;
+    return static_cast<unsigned>(lo);
   }
 
   void InstallSplitters(SplitterKeys splitters) {

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -169,6 +170,34 @@ TEST(NetProtocolCodec, ReplyRoundTripEveryShape) {
   }
 }
 
+// The fixed-size reply encoders write every field at its offset; pin the
+// exact wire bytes of each outcome, appended after bytes already queued.
+TEST(NetProtocolCodec, ReplyEncodersWriteGoldenBytes) {
+  const uint64_t id = 0x0102030405060708ull;
+  const uint64_t v = 0x1112131415161718ull;
+  std::vector<uint8_t> out = {0xee, 0xef};
+  EncodeGetReply(&out, id, true, v);
+  EncodeGetReply(&out, id, false, v);
+  EncodePutReply(&out, id, true, v);
+  EncodePutReply(&out, id, false, v);
+  EncodeDeleteReply(&out, id, true);
+  EncodeDeleteReply(&out, id, false);
+#define GOLDEN_ID 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01
+#define GOLDEN_VALUE 0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11
+  const std::vector<uint8_t> golden = {
+      0xee, 0xef,                                           // already queued
+      0x11, 0, 0, 0, GOLDEN_ID, kOk, GOLDEN_VALUE,          // GET found
+      0x09, 0, 0, 0, GOLDEN_ID, kNotFound,                  // GET not found
+      0x0a, 0, 0, 0, GOLDEN_ID, kOk, 1,                     // PUT created
+      0x12, 0, 0, 0, GOLDEN_ID, kOk, 0, GOLDEN_VALUE,       // PUT replaced
+      0x09, 0, 0, 0, GOLDEN_ID, kOk,                        // DELETE removed
+      0x09, 0, 0, 0, GOLDEN_ID, kNotFound,                  // DELETE absent
+  };
+#undef GOLDEN_ID
+#undef GOLDEN_VALUE
+  EXPECT_EQ(out, golden);
+}
+
 // NextFrame must report kNeedMore for every strict prefix of a frame and
 // never touch bytes beyond `size` (ASan-checked via exact-size heap copies).
 TEST(NetProtocolCodec, IncrementalFramingEveryPrefix) {
@@ -305,6 +334,106 @@ TEST(NetKeyEscape, OrderPreservingAndPrefixFree) {
       size_t min = std::min(ea.size(), eb.size());
       ASSERT_NE(memcmp(ea.data(), eb.data(), min), 0)
           << "escaped form is a prefix of another";
+    }
+  }
+}
+
+// Byte-at-a-time statement of the escape: the reference EscapeKey's
+// memchr/memcpy runs must reproduce.
+std::vector<uint8_t> ReferenceEscape(const std::vector<uint8_t>& raw) {
+  std::vector<uint8_t> out;
+  for (uint8_t b : raw) {
+    out.push_back(b);
+    if (b == 0x00) out.push_back(0x01);
+  }
+  out.push_back(0x00);
+  out.push_back(0x00);
+  return out;
+}
+
+TEST(NetKeyEscape, MatchesBytewiseReference) {
+  std::mt19937_64 rng(7);
+  std::vector<std::vector<uint8_t>> keys = {
+      {},                                  // empty key
+      std::vector<uint8_t>(1, 0x00),
+      std::vector<uint8_t>(16, 0x00),      // all NULs
+      std::vector<uint8_t>(254, 0x00),
+      std::vector<uint8_t>(kMaxKeyLen, 'k'),  // longest wire key
+  };
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<uint8_t> k(rng() % (kMaxKeyLen + 1));
+    const unsigned nul_every = i % 3 == 0 ? 0 : 1 + rng() % 32;  // 0 = never
+    for (auto& b : k) {
+      b = static_cast<uint8_t>(1 + rng() % 255);
+      if (nul_every != 0 && rng() % nul_every == 0) b = 0x00;
+    }
+    keys.push_back(std::move(k));
+  }
+  for (const auto& raw : keys) {
+    const std::vector<uint8_t> expect = ReferenceEscape(raw);
+    KeyRef ref(raw.data(), raw.size());
+    std::vector<uint8_t> out = {0xab, 0x00, 0xcd};  // appended after
+    ASSERT_EQ(EscapeKey(ref, &out), expect.size());
+    ASSERT_EQ(out.size(), 3 + expect.size());
+    EXPECT_EQ(out[0], 0xab);
+    EXPECT_EQ(out[1], 0x00);
+    EXPECT_EQ(out[2], 0xcd);
+    ASSERT_TRUE(std::equal(expect.begin(), expect.end(), out.begin() + 3))
+        << "raw length " << raw.size();
+    EXPECT_EQ(EscapedKeyLength(ref), expect.size());
+  }
+}
+
+TEST(NetRecordStore, AppendRoundTripsRawAndEscapedKeys) {
+  std::mt19937_64 rng(11);
+  RecordStore store;
+  std::vector<std::vector<uint8_t>> raws;
+  // Long keys first: more than 1 MiB of key bytes inside the first 16K
+  // records outgrows the chunk's shared byte arena (64 B per record), so
+  // the later records take the overflow allocation path.
+  for (int i = 0; i < 4000; ++i) {
+    const bool nuls = i % 4 == 0;
+    std::vector<uint8_t> k(nuls ? rng() % 120 : 200 + rng() % 55);
+    for (auto& b : k) {
+      b = static_cast<uint8_t>(nuls ? rng() % 3 : 1 + rng() % 255);
+    }
+    ASSERT_TRUE(KeyFitsIndex(KeyRef(k.data(), k.size())));
+    std::optional<uint64_t> id =
+        store.Append(KeyRef(k.data(), k.size()), 5000 + i);
+    ASSERT_TRUE(id.has_value());
+    ASSERT_EQ(*id, raws.size());
+    raws.push_back(std::move(k));
+  }
+  ASSERT_GT(store.key_bytes(), uint64_t{1} << 20);
+  for (size_t id = 0; id < raws.size(); ++id) {
+    const RecordStore::Record& rec = store.At(id);
+    EXPECT_EQ(rec.value, 5000 + id);
+    KeyRef raw = rec.raw_key();
+    ASSERT_EQ(std::vector<uint8_t>(raw.data(), raw.data() + raw.size()),
+              raws[id]);
+    KeyRef esc = rec.escaped_key();
+    ASSERT_EQ(std::vector<uint8_t>(esc.data(), esc.data() + esc.size()),
+              ReferenceEscape(raws[id]));
+  }
+}
+
+// Exhaustion is an ordinary refusal in every build (no assert): Append
+// reports it, keeps every record it already holds, and stays full.
+TEST(NetRecordStore, AppendRefusesPastCapacity) {
+  EXPECT_EQ(RecordStore(~uint64_t{0}).capacity(), RecordStore::kMaxRecords);
+  for (uint64_t capacity : {uint64_t{0}, uint64_t{5}, uint64_t{16385}}) {
+    SCOPED_TRACE(capacity);
+    RecordStore store(capacity);
+    for (uint64_t i = 0; i < capacity; ++i) {
+      std::string key = "cap-" + std::to_string(i);
+      ASSERT_EQ(store.Append(KeyRef(key), i), std::optional<uint64_t>(i));
+    }
+    EXPECT_FALSE(store.Append(K("one-too-many"), 1).has_value());
+    EXPECT_FALSE(store.Append(K("still-full"), 2).has_value());
+    EXPECT_EQ(store.appended(), capacity);
+    if (capacity > 0) {
+      EXPECT_EQ(store.At(capacity - 1).value, capacity - 1);
+      EXPECT_EQ(store.At(0).raw_key().ToStringView(), "cap-0");
     }
   }
 }
@@ -652,6 +781,88 @@ TEST_F(NetServerFixture, RandomFragmentationTorture) {
   ServerStats s = server_.StatsSnapshot();
   EXPECT_GE(s.frames_in, static_cast<uint64_t>(kOps));
   EXPECT_EQ(s.protocol_errors, 0u);
+}
+
+// The server parses whole frames straight out of each read and carries only
+// an incomplete trailing frame to the next read.  Every write here ends
+// mid-frame — inside the length prefix, right after it, inside the id, at
+// the opcode, inside the key, one byte short — and the next write completes
+// that frame.  The client awaits the replies of every complete frame before
+// writing on, so each write reaches the server as its own read and both
+// receive paths alternate.
+TEST_F(NetServerFixture, ReadsEndingMidFrameAlternateWithCompletingReads) {
+  RawConn c;
+  ASSERT_TRUE(c.Connect(server_.port()));
+  // Even frames PUT a fresh key; odd frames GET the key the previous frame
+  // wrote (a PUT executes inline when parsed, before the iteration's GETs
+  // drain, so the GET sees it however the reads fall).
+  constexpr int kFrames = 48;
+  std::vector<uint8_t> stream;
+  std::vector<size_t> frame_start;
+  auto key_of = [](int i) {
+    return "mid-" + std::to_string(i) + std::string(i * 5 % 97, 'x');
+  };
+  for (int i = 0; i < kFrames; ++i) {
+    frame_start.push_back(stream.size());
+    if (i % 2 == 0) {
+      EncodePut(&stream, static_cast<uint64_t>(i) + 1, KeyRef(key_of(i)),
+                1000 + static_cast<uint64_t>(i));
+    } else {
+      EncodeGet(&stream, static_cast<uint64_t>(i) + 1,
+                KeyRef(key_of(i - 1)));
+    }
+  }
+  frame_start.push_back(stream.size());
+
+  // Cut inside frame i at a rotating offset; every third frame is left
+  // whole so some reads also carry a complete frame in the middle.
+  const size_t kCuts[] = {1, 2, 3, 4, 7, 12, 13, 15};
+  std::vector<size_t> cuts;
+  for (int i = 1; i < kFrames; ++i) {
+    if (i % 3 == 2) continue;
+    size_t len = frame_start[i + 1] - frame_start[i];
+    size_t at = kCuts[i % 8] < len ? kCuts[i % 8] : len - 1;
+    if (i % 5 == 0) at = len - 1;  // one byte short
+    cuts.push_back(frame_start[i] + at);
+  }
+  cuts.push_back(stream.size());
+
+  int replied = 0;
+  std::vector<bool> seen(kFrames, false);
+  size_t sent = 0;
+  for (size_t cut : cuts) {
+    ASSERT_TRUE(c.WriteAll(stream.data() + sent, cut - sent));
+    sent = cut;
+    int complete = 0;
+    while (complete < kFrames && frame_start[complete + 1] <= sent) {
+      ++complete;
+    }
+    for (; replied < complete; ++replied) {
+      std::vector<uint8_t> body;
+      ASSERT_TRUE(c.ReadFrame(&body));
+      ASSERT_GE(body.size(), kMinBody);
+      const uint64_t i = GetU64(body.data()) - 1;
+      ASSERT_LT(i, static_cast<uint64_t>(complete));
+      ASSERT_FALSE(seen[i]) << "frame " << i << " answered twice";
+      seen[i] = true;
+      Reply reply;
+      std::string err;
+      ASSERT_TRUE(ParseReply(body.data(), body.size(),
+                             i % 2 == 0 ? kOpPut : kOpGet, &reply, &err))
+          << err;
+      ASSERT_EQ(reply.status, kOk) << "frame " << i;
+      if (i % 2 == 0) {
+        EXPECT_TRUE(reply.created) << "frame " << i;
+      } else {
+        EXPECT_EQ(reply.value, 1000 + i - 1) << "frame " << i;
+      }
+    }
+  }
+  EXPECT_EQ(replied, kFrames);
+  ServerStats s = server_.StatsSnapshot();
+  EXPECT_EQ(s.frames_in, static_cast<uint64_t>(kFrames));
+  EXPECT_EQ(s.protocol_errors, 0u);
+  EXPECT_EQ(s.bad_requests, 0u);
 }
 
 // --- mid-request disconnect / leak hygiene -----------------------------------

@@ -265,6 +265,61 @@ TEST(PersistServer, ManualSnapshotCompactsTheWal) {
   }
 }
 
+// Every PUT appends a record and none is reclaimed, so a long-running
+// server can fill its record store.  The full store refuses the PUT with
+// kServerError before the WAL append: the refused write is neither
+// acknowledged nor logged, and a restart does not bring it back.
+TEST(PersistServer, FullRecordStoreRefusesPutsWithoutLoggingThem) {
+  TempDir dir;
+  constexpr int kCapacity = 8;
+  std::map<std::string, uint64_t> oracle;
+  {
+    KvServer server(DurableServer(dir.path, persist::Durability::kSync),
+                    kCapacity);
+    std::string err;
+    ASSERT_TRUE(server.Start(&err)) << err;
+    KvClient c;
+    ASSERT_TRUE(c.Connect("127.0.0.1", server.port(), &err)) << err;
+    Reply reply;
+    for (int i = 0; i < kCapacity; ++i) {
+      ASSERT_TRUE(c.Put(K(Key(i)), 1000 + i, &reply, &err)) << err;
+      ASSERT_TRUE(reply.ok());
+      oracle[Key(i)] = 1000 + i;
+    }
+    const uint64_t logged = server.StatsSnapshot().wal_appends;
+    ASSERT_TRUE(c.Put(K(Key(kCapacity)), 1, &reply, &err)) << err;
+    EXPECT_EQ(reply.status, kServerError);
+    ASSERT_TRUE(c.Put(K(Key(0)), 2, &reply, &err)) << err;  // overwrite
+    EXPECT_EQ(reply.status, kServerError);
+    EXPECT_EQ(server.StatsSnapshot().wal_appends, logged);
+    EXPECT_EQ(server.store().appended(), static_cast<uint64_t>(kCapacity));
+    ASSERT_TRUE(c.Get(K(Key(kCapacity)), &reply, &err)) << err;
+    EXPECT_EQ(reply.status, kNotFound);
+    ASSERT_TRUE(c.Get(K(Key(0)), &reply, &err)) << err;
+    EXPECT_EQ(reply.value, 1000u);
+    // Deletes append no record and still work on a full store.
+    ASSERT_TRUE(c.Delete(K(Key(1)), &reply, &err)) << err;
+    EXPECT_EQ(reply.status, kOk);
+    oracle.erase(Key(1));
+    server.Stop();
+  }
+  {
+    KvServer server(DurableServer(dir.path, persist::Durability::kSync));
+    std::string err;
+    ASSERT_TRUE(server.Start(&err)) << err;
+    KvClient c;
+    ASSERT_TRUE(c.Connect("127.0.0.1", server.port(), &err)) << err;
+    EXPECT_EQ(ScanAll(&c), oracle);
+  }
+  {
+    // A recovered image larger than the store fails Start loudly.
+    KvServer server(DurableServer(dir.path, persist::Durability::kSync), 3);
+    std::string err;
+    EXPECT_FALSE(server.Start(&err));
+    EXPECT_NE(err.find("capacity"), std::string::npos) << err;
+  }
+}
+
 TEST(PersistServer, BadDataDirFailsStartLoudly) {
   ServerOptions opt =
       DurableServer("/nonexistent/hot-persist-dir", persist::Durability::kSync);

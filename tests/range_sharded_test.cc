@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/extractors.h"
@@ -339,6 +340,108 @@ TEST(RangeSharded, RouteBatchMatchesShardOf) {
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(routed[i], idx.ShardOf(keys[i])) << i;
     EXPECT_EQ(routed[i], expected[i]) << i;
+  }
+}
+
+// ShardOf and RouteBatch (both RouteOne: branch-free lower bound over the
+// 8-byte splitter prefixes, binary search within an equal-prefix run) must
+// equal a brute-force count of splitters <= key.  Checks `probes` plus
+// every splitter, its neighbours one byte longer and shorter, and its
+// 8-byte prefix.
+void ExpectRoutesMatchBruteForce(const SplitterKeys& sk,
+                                 std::vector<std::vector<uint8_t>> probes) {
+  RangeShardedIndex<HotTrie<StringTableExtractor>, StringTableExtractor> idx(
+      sk, StringTableExtractor(nullptr));
+  ASSERT_EQ(idx.shard_count(), sk.size() + 1);
+  for (const auto& sp : sk) {
+    probes.push_back(sp);
+    std::vector<uint8_t> longer = sp;
+    longer.push_back(0x00);
+    probes.push_back(longer);
+    probes.emplace_back(sp.begin(), sp.end() - 1);
+    if (sp.size() > 8) probes.emplace_back(sp.begin(), sp.begin() + 8);
+  }
+  std::vector<KeyRef> keys;
+  for (const auto& p : probes) keys.emplace_back(p.data(), p.size());
+  std::vector<uint32_t> routed(keys.size());
+  idx.RouteBatch(keys, routed.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    unsigned expect = 0;
+    for (const auto& sp : sk) {
+      expect += KeyRef(sp.data(), sp.size()).Compare(keys[i]) <= 0;
+    }
+    ASSERT_EQ(idx.ShardOf(keys[i]), expect) << "probe " << i;
+    ASSERT_EQ(routed[i], expect) << "probe " << i;
+  }
+}
+
+// Splitter sets that mix keys shorter than 8 bytes (zero-padded prefixes
+// that tie with longer keys) with short runs that share one 8-byte prefix
+// and differ only after it.
+TEST(RangeSharded, RouteMatchesBruteForceCount) {
+  SplitMix64 rng(99);
+  auto random_key = [&](size_t max_len) {
+    std::vector<uint8_t> k(rng.NextBounded(max_len + 1));
+    for (auto& b : k) {
+      // A small alphabet with 0x00 and 0xff makes prefix ties common.
+      static constexpr uint8_t kAlphabet[] = {0x00, 0x01, 'm', 0xfe, 0xff};
+      b = kAlphabet[rng.NextBounded(5)];
+    }
+    return k;
+  };
+  for (unsigned shards : {1u, 2u, 16u, 64u, 1000u}) {
+    SCOPED_TRACE(shards);
+    std::set<std::vector<uint8_t>> pool;
+    while (pool.size() + 1 < shards) {
+      if (rng.NextBounded(3) == 0) {
+        // A run sharing one 8-byte prefix, including the bare prefix.
+        std::vector<uint8_t> prefix = random_key(8);
+        prefix.resize(8, 'm');
+        for (int j = 0; j < 6 && pool.size() + 1 < shards; ++j) {
+          std::vector<uint8_t> k = prefix;
+          std::vector<uint8_t> suffix = random_key(4);
+          k.insert(k.end(), suffix.begin(), suffix.end());
+          pool.insert(k);
+        }
+      } else {
+        std::vector<uint8_t> k = random_key(7);  // shorter than 8 bytes
+        if (!k.empty()) pool.insert(k);
+      }
+    }
+    // Random probes of every length around the prefix width.
+    std::vector<std::vector<uint8_t>> probes;
+    for (int i = 0; i < 2000; ++i) probes.push_back(random_key(12));
+    ExpectRoutesMatchBruteForce(SplitterKeys(pool.begin(), pool.end()),
+                                std::move(probes));
+  }
+}
+
+// Url splitters mostly share the 8-byte prefix "https://", so one
+// equal-prefix run can hold nearly every splitter.  Runs of 2 to 4094
+// splitters, with a shorter splitter ahead of the run and one after it.
+TEST(RangeSharded, RouteSearchesALongSharedPrefixRun) {
+  SplitMix64 rng(7);
+  auto url = [&](const char* scheme) {
+    std::string s = scheme;
+    const size_t len = rng.NextBounded(7);
+    for (size_t i = 0; i < len; ++i) {
+      s.push_back(static_cast<char>('a' + rng.NextBounded(26)));
+    }
+    return std::vector<uint8_t>(s.begin(), s.end());
+  };
+  for (unsigned shards : {5u, 17u, 4097u}) {
+    SCOPED_TRACE(shards);
+    std::set<std::vector<uint8_t>> pool;
+    pool.insert(url("http://"));
+    pool.insert(url("https:/~"));
+    while (pool.size() + 1 < shards) pool.insert(url("https://"));
+    std::vector<std::vector<uint8_t>> probes;
+    for (int i = 0; i < 2000; ++i) probes.push_back(url("https://"));
+    for (const char* scheme : {"http://", "https:/", "https:/~~", ""}) {
+      probes.push_back(url(scheme));
+    }
+    ExpectRoutesMatchBruteForce(SplitterKeys(pool.begin(), pool.end()),
+                                std::move(probes));
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,7 +119,9 @@ TEST(Snapshot, RoundTripAuditAndScanParityAcrossAllKeyspaces) {
     ids.reserve(rec.records.size());
     for (const RecoveredRecord& rr : rec.records) {
       ASSERT_TRUE(net::KeyFitsIndex(rr.key_ref()));
-      ids.push_back(store.Append(rr.key_ref(), rr.value));
+      std::optional<uint64_t> id = store.Append(rr.key_ref(), rr.value);
+      ASSERT_TRUE(id.has_value());
+      ids.push_back(*id);
     }
     RowexHotTrie<net::RecordKeyExtractor> trie{
         net::RecordKeyExtractor(&store)};
