@@ -14,7 +14,6 @@
 #include "art/art.h"
 #include "bench/json_out.h"
 #include "btree/btree.h"
-#include "hot/hybrid.h"
 #include "hot/rowex.h"
 #include "hot/trie.h"
 #include "masstree/masstree.h"
@@ -49,20 +48,15 @@ struct ObsOptions {
 // the evaluated index structures on `ds`.  Results in paper order:
 // HOT, ART, Masstree, BT — plus ROWEX (the concurrent HOT) between HOT and
 // ART when `include_rowex` is set (bench/table3_counters.cc covers all
-// five), and HOT(hybrid) (the static/delta index with background merge,
-// hot/hybrid.h) in the same slot when `include_hybrid` is set.  The hybrid
-// arm loads through its delta + merge path and is quiesced (delta fully
-// drained) before the transaction phase — see RunBenchmark.  `batch` > 1
-// groups reads through the adapters' MultiLookup hook (HOT runs its MLP
-// batched lookup, the others loop).
+// five).  `batch` > 1 groups reads through the adapters' MultiLookup hook
+// (HOT runs its MLP batched lookup, the others loop).
 inline std::vector<IndexResult> RunAllIndexes(const ycsb::DataSet& ds,
                                               size_t load_n, size_t ops,
                                               const ycsb::WorkloadSpec& spec,
                                               uint64_t seed,
                                               unsigned batch = 1,
                                               const ObsOptions& opt = {},
-                                              bool include_rowex = false,
-                                              bool include_hybrid = false) {
+                                              bool include_rowex = false) {
   std::vector<IndexResult> out;
   auto run_one = [&](const char* name, auto make_adapter) {
     auto adapter = make_adapter();
@@ -92,12 +86,6 @@ inline std::vector<IndexResult> RunAllIndexes(const ycsb::DataSet& ds,
         return std::make_unique<ycsb::StringDataSetAdapter<RowexHotTrie>>(&ds);
       });
     }
-    if (include_hybrid) {
-      run_one("HOT(hybrid)", [&] {
-        return std::make_unique<ycsb::StringDataSetAdapter<HybridHotIndex>>(
-            &ds);
-      });
-    }
     run_one("ART", [&] {
       return std::make_unique<ycsb::StringDataSetAdapter<ArtTree>>(&ds);
     });
@@ -114,11 +102,6 @@ inline std::vector<IndexResult> RunAllIndexes(const ycsb::DataSet& ds,
     if (include_rowex) {
       run_one("ROWEX", [&] {
         return std::make_unique<ycsb::IntDataSetAdapter<RowexHotTrie>>(&ds);
-      });
-    }
-    if (include_hybrid) {
-      run_one("HOT(hybrid)", [&] {
-        return std::make_unique<ycsb::IntDataSetAdapter<HybridHotIndex>>(&ds);
       });
     }
     run_one("ART", [&] {

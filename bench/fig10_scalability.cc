@@ -6,16 +6,14 @@
 // The paper runs synchronized HOT (ROWEX, §5), ART (ROWEX) and Masstree on
 // a 10-core i9-7900X and reports near-linear speedups (HOT: 9.96x lookup /
 // 9.00x insert at 10 threads).  Here HOT uses the full ROWEX protocol of
-// hot/rowex.h; HOT(hybrid) is the static/delta index of hot/hybrid.h whose
-// writers go through a ROWEX delta while background merges rebuild the
-// base; the baselines' synchronized variants are approximated by
+// hot/rowex.h; the baselines' synchronized variants are approximated by
 // range-partitioned sharding with per-shard locks over the single-threaded
 // implementations (ycsb/range_sharded.h — see DESIGN.md "Substitutions" and
-// §10).  Range partitioning — unlike the hash sharding of ycsb/sharded.h —
-// preserves global key order, which is what lets the workload-E phase run
-// concurrently on every index: scans spill across shard boundaries in key
-// order.  Splitters are sampled equi-depth from the data set, since url
-// keys share long prefixes and would otherwise collapse into one shard.
+// §10).  Range partitioning preserves global key order, which is what lets
+// the workload-E phase run concurrently on every index: scans spill across
+// shard boundaries in key order.  Splitters are sampled equi-depth from the
+// data set, since url keys share long prefixes and would otherwise collapse
+// into one shard.
 // NOTE: on a machine with a single physical core (this box), threads
 // time-slice and no protocol can show real speedup; the experiment then
 // demonstrates correctness under concurrency and per-thread overhead.
@@ -33,7 +31,6 @@
 #include "btree/btree.h"
 #include "common/extractors.h"
 #include "common/thread.h"
-#include "hot/hybrid.h"
 #include "hot/rowex.h"
 #include "hot/trie.h"
 #include "masstree/masstree.h"
@@ -214,9 +211,8 @@ int main(int argc, char** argv) {
 
   using Ex = StringTableExtractor;
   const Ex extractor(&ds.strings);
-  constexpr unsigned kArms = 7;
-  const char* arm_names[kArms] = {"HOT(ROWEX)",          "HOT(hybrid)",
-                                  "HOT(range-shard)",
+  constexpr unsigned kArms = 6;
+  const char* arm_names[kArms] = {"HOT(ROWEX)",          "HOT(range-shard)",
                                   "HOT(rs-affine)",      "ART(range-shard)",
                                   "Masstree(range-shard)",
                                   "BTree(range-shard)"};
@@ -240,15 +236,8 @@ int main(int argc, char** argv) {
       run_arm(0, hot);
     }
     {
-      // Hybrid static/delta index: writers funnel through the delta's
-      // ROWEX pair while background merges rebuild the base under the
-      // readers; the scan phase hits the three-way merged cursor.
-      HybridHotIndex<Ex> idx(extractor);
-      run_arm(1, idx);
-    }
-    {
       RangeShardedIndex<HotTrie<Ex>, Ex> idx(splitters, extractor);
-      run_arm(2, idx);
+      run_arm(1, idx);
     }
     {
       // Same index type as HOT(range-shard), run thread-affine: workers
@@ -259,19 +248,19 @@ int main(int argc, char** argv) {
           /*affine=*/true, idx.shard_count(), [&](uint32_t id) {
             return idx.ShardOf(TerminatedView(ds.strings[id]));
           });
-      report_arm(3, r);
+      report_arm(2, r);
     }
     {
       RangeShardedIndex<ArtTree<Ex>, Ex> idx(splitters, extractor);
-      run_arm(4, idx);
+      run_arm(3, idx);
     }
     {
       RangeShardedIndex<Masstree<Ex>, Ex> idx(splitters, extractor);
-      run_arm(5, idx);
+      run_arm(4, idx);
     }
     {
       RangeShardedIndex<BTree<Ex>, Ex> idx(splitters, extractor);
-      run_arm(6, idx);
+      run_arm(5, idx);
     }
   }
   json.WriteFile();

@@ -1,6 +1,5 @@
 // Figure 8: single-threaded throughput (million operations per second) of
-// HOT, the hybrid static/delta HOT (hot/hybrid.h, quiesced before the
-// transaction phase), ART, Masstree and the B+-tree for
+// HOT, ART, Masstree and the B+-tree for
 //   * YCSB workload C (100% lookup, uniform),
 //   * YCSB workload E (95% short range scans of up to 100 entries,
 //     5% insert, uniform),
@@ -29,8 +28,7 @@ void RunWorkloadRow(const BenchConfig& cfg, char workload, BenchJson& json) {
   printf("\n=== Figure 8: workload %c (uniform), %zu keys, %zu ops, "
          "batch %u ===\n",
          workload, cfg.keys, cfg.ops, cfg.batch);
-  Table table(
-      {"dataset", "HOT", "HOT(hybrid)", "ART", "Masstree", "BT", "metric"});
+  Table table({"dataset", "HOT", "ART", "Masstree", "BT", "metric"});
   table.PrintHeader();
   WorkloadSpec spec = YcsbWorkload(workload, Distribution::kUniform);
   for (DataSetKind kind : kAllDataSets) {
@@ -38,8 +36,7 @@ void RunWorkloadRow(const BenchConfig& cfg, char workload, BenchJson& json) {
                                  cfg.seed);
     ObsOptions obs_opt{cfg.latency, cfg.counters};
     auto results = RunAllIndexes(ds, cfg.keys, cfg.ops, spec, cfg.seed,
-                                 cfg.batch, obs_opt, /*include_rowex=*/false,
-                                 /*include_hybrid=*/true);
+                                 cfg.batch, obs_opt);
     std::vector<std::string> row = {DataSetName(kind)};
     for (const auto& r : results) {
       row.push_back(Fmt(r.run.TxnMops()));
@@ -66,18 +63,15 @@ void RunWorkloadRow(const BenchConfig& cfg, char workload, BenchJson& json) {
 void RunInsertOnlyRow(const BenchConfig& cfg, BenchJson& json) {
   printf("\n=== Figure 8: insert-only (load phase), %zu keys ===\n",
          cfg.keys);
-  Table table(
-      {"dataset", "HOT", "HOT(hybrid)", "ART", "Masstree", "BT", "metric"});
+  Table table({"dataset", "HOT", "ART", "Masstree", "BT", "metric"});
   table.PrintHeader();
   WorkloadSpec spec = YcsbWorkload('C', Distribution::kUniform);
   for (DataSetKind kind : kAllDataSets) {
     DataSet ds = GenerateDataSet(kind, cfg.keys, cfg.seed);
-    // Zero transaction ops: we time only the load (for the hybrid arm that
-    // is delta insertion + background merges, its true bulk-arrival path).
+    // Zero transaction ops: we time only the load.
     ObsOptions obs_opt{/*latency=*/false, cfg.counters};
     auto results =
-        RunAllIndexes(ds, cfg.keys, 0, spec, cfg.seed, 1, obs_opt,
-                      /*include_rowex=*/false, /*include_hybrid=*/true);
+        RunAllIndexes(ds, cfg.keys, 0, spec, cfg.seed, 1, obs_opt);
     std::vector<std::string> row = {DataSetName(kind)};
     for (const auto& r : results) {
       row.push_back(Fmt(r.run.LoadMops()));

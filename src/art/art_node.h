@@ -16,7 +16,7 @@
 #include <cstring>
 
 #include "common/alloc.h"
-#include "common/locks.h"
+#include "common/bits.h"
 #include "common/simd.h"
 
 namespace hot {
@@ -44,7 +44,6 @@ struct ArtEntry {
 inline constexpr unsigned kArtMaxPrefix = 10;
 
 struct ArtNodeHeader {
-  RowexLockWord lock;          // used by the ROWEX-synchronized variant
   ArtNodeType type;
   uint8_t num_children;
   uint16_t num_children16;     // Node256 can hold 256 children
@@ -114,7 +113,6 @@ inline ArtNodeHeader* ArtAllocNode(CountingAllocator& alloc, ArtNodeType t) {
   void* mem = alloc.AllocateAligned(bytes, 8);
   std::memset(mem, 0, bytes);
   auto* h = static_cast<ArtNodeHeader*>(mem);
-  new (&h->lock) RowexLockWord();
   h->type = t;
   if (t == ArtNodeType::kNode48) {
     std::memset(reinterpret_cast<ArtNode48*>(h)->child_index,

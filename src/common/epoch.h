@@ -171,19 +171,6 @@ class EpochManager {
     local.items.resize(kept);
   }
 
-  // Advances the global epoch and collects the calling thread's limbo list.
-  // The automatic path only advances when a limbo list crosses
-  // kCollectThreshold entries — the right policy for node-sized garbage,
-  // but a retirer of a few *large* objects (the hybrid index retires one
-  // whole base tree per merge) calls this to push them out promptly: two
-  // calls guarantee objects retired before the first become reclaimable as
-  // soon as every reader pinned at retire time has left.
-  void AdvanceAndCollect() {
-    size_t slot = RegisterThread();
-    AdvanceEpoch();
-    Collect(slot);
-  }
-
   // Frees everything unconditionally.  Only safe when no thread is inside an
   // epoch (e.g. destruction, single-threaded tests).
   void CollectAll() {

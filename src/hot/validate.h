@@ -29,6 +29,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/extractors.h"
 #include "common/key.h"
 #include "hot/logical_node.h"
 #include "hot/node.h"

@@ -66,18 +66,6 @@ struct TelemetrySnapshot {
   uint64_t pool_carves = 0;  // allocations bump-carved from an arena chunk
   uint64_t pool_steals = 0;  // hits whose blocks came from a sibling stripe
 
-  // Hybrid static/delta indexes (hot/hybrid.h): layer populations and
-  // merge/rebuild progress.  Zero `hybrid_merges` with zero layer entries
-  // means a non-hybrid index.
-  uint64_t hybrid_base_entries = 0;
-  uint64_t hybrid_delta_entries = 0;   // active live + dead
-  uint64_t hybrid_frozen_entries = 0;  // generation being merged (0 if idle)
-  uint64_t hybrid_merges = 0;          // completed merge cycles
-  uint64_t hybrid_last_rebuild_keys = 0;
-  uint64_t hybrid_last_rebuild_ns = 0;
-  uint64_t hybrid_rebuild_ns_total = 0;
-  bool hybrid_merge_in_flight = false;
-
   // Range-sharded wrappers (ycsb/range_sharded.h): the shard layout this
   // snapshot was folded over.  Zero `shards` means a single-tree index.
   uint64_t shards = 0;
@@ -112,16 +100,6 @@ struct TelemetrySnapshot {
         << " pool_hits=" << pool_hits << " pool_carves=" << pool_carves
         << " pool_steals=" << pool_steals
         << " nodes=" << census.nodes << " fill=" << FillFactor();
-    if (hybrid_merges != 0 || hybrid_delta_entries != 0 ||
-        hybrid_base_entries != 0) {
-      oss << " hybrid_base=" << hybrid_base_entries
-          << " hybrid_delta=" << hybrid_delta_entries
-          << " hybrid_frozen=" << hybrid_frozen_entries
-          << " merges=" << hybrid_merges
-          << " last_rebuild_keys=" << hybrid_last_rebuild_keys
-          << " last_rebuild_ms=" << hybrid_last_rebuild_ns / 1000000
-          << (hybrid_merge_in_flight ? " merging" : "");
-    }
     if (shards != 0) {
       oss << " shards=" << shards << " empty_shards=" << empty_shards
           << " shard_min=" << shard_entries_min
@@ -162,17 +140,6 @@ TelemetrySnapshot CollectTelemetry(const Trie& trie) {
     s.pool_carves = p.carves;
     s.pool_steals = p.steals;
   }
-  if constexpr (requires { trie.hybrid_stats(); }) {
-    auto h = trie.hybrid_stats();
-    s.hybrid_base_entries = h.base_entries;
-    s.hybrid_delta_entries = h.delta_live + h.delta_dead;
-    s.hybrid_frozen_entries = h.frozen_entries;
-    s.hybrid_merges = h.merges;
-    s.hybrid_last_rebuild_keys = h.last_rebuild_keys;
-    s.hybrid_last_rebuild_ns = h.last_rebuild_ns;
-    s.hybrid_rebuild_ns_total = h.rebuild_ns_total;
-    s.hybrid_merge_in_flight = h.merge_in_flight;
-  }
   return s;
 }
 
@@ -204,17 +171,6 @@ TelemetrySnapshot CollectTelemetry(const Wrapper& wrapper) {
     s.pool_hits += t.pool_hits;
     s.pool_carves += t.pool_carves;
     s.pool_steals += t.pool_steals;
-    s.hybrid_base_entries += t.hybrid_base_entries;
-    s.hybrid_delta_entries += t.hybrid_delta_entries;
-    s.hybrid_frozen_entries += t.hybrid_frozen_entries;
-    s.hybrid_merges += t.hybrid_merges;
-    s.hybrid_last_rebuild_keys =
-        std::max(s.hybrid_last_rebuild_keys, t.hybrid_last_rebuild_keys);
-    s.hybrid_last_rebuild_ns =
-        std::max(s.hybrid_last_rebuild_ns, t.hybrid_last_rebuild_ns);
-    s.hybrid_rebuild_ns_total += t.hybrid_rebuild_ns_total;
-    s.hybrid_merge_in_flight =
-        s.hybrid_merge_in_flight || t.hybrid_merge_in_flight;
     for (size_t i = 0; i < kNumNodeTypes; ++i) {
       s.census.count_by_type[i] += t.census.count_by_type[i];
       s.census.bytes_by_type[i] += t.census.bytes_by_type[i];

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -33,7 +34,6 @@
 #include "btree/btree.h"
 #include "common/extractors.h"
 #include "common/key.h"
-#include "hot/hybrid.h"
 #include "hot/rowex.h"
 #include "hot/trie.h"
 #include "masstree/masstree.h"
@@ -54,22 +54,6 @@ template <typename Ex>
 using RangeShardedHot = ycsb::RangeShardedIndex<HotTrie<Ex>, Ex>;
 template <typename Ex>
 using RangeShardedRowex = ycsb::RangeShardedIndex<RowexHotTrie<Ex>, Ex>;
-
-// Hybrid static/delta index under differential test, tuned for traces:
-// merges run inline on the writer (deterministic — no background thread
-// racing the audit walks) with a small trigger so even short traces cross
-// several freeze/rebuild cycles, and a capped rebuild width so sanitizer
-// runs don't fork wide thread pools per trace.
-template <typename Ex>
-class DifferHybrid : public HybridHotIndex<Ex> {
- public:
-  explicit DifferHybrid(Ex extractor = Ex())
-      : HybridHotIndex<Ex>(extractor, nullptr,
-                           typename HybridHotIndex<Ex>::MergeOptions{
-                               /*min_delta=*/512, /*ratio=*/0.5,
-                               /*rebuild_threads=*/2, /*background=*/false}) {
-  }
-};
 
 struct DiffOptions {
   bool deep_audit = true;    // run audit.h / CheckStructure at audit ops
@@ -94,9 +78,8 @@ struct DiffResult {
 // The index-under-test kinds: the five single-tree indexes plus the
 // range-sharded HOT wrappers (16 default shards, cross-shard scans).
 inline constexpr const char* kIndexNames[] = {
-    "hot", "rowex", "art", "masstree", "btree", "hot-rs", "rowex-rs",
-    "hybrid"};
-inline constexpr unsigned kNumIndexes = 8;
+    "hot", "rowex", "art", "masstree", "btree", "hot-rs", "rowex-rs"};
+inline constexpr unsigned kNumIndexes = std::size(kIndexNames);
 
 namespace detail {
 
@@ -551,14 +534,11 @@ DiffResult RunTraceOn(const Trace& trace, const DiffOptions& opts = {}) {
   return runner.Run(trace);
 }
 
-// Name-dispatched variant ("hot", "rowex", "art", "masstree", "btree",
-// "hot-rs", "rowex-rs", "hybrid").  Returns false from *known if the name
-// is not an index.
+// Name-dispatched variant over kIndexNames.  An unknown name is a failed
+// result whose error names it.
 inline DiffResult RunTraceOnIndex(const std::string& index_name,
                                   const Trace& trace,
-                                  const DiffOptions& opts = {},
-                                  bool* known = nullptr) {
-  if (known != nullptr) *known = true;
+                                  const DiffOptions& opts = {}) {
   if (index_name == "hot") return RunTraceOn<HotTrie>(trace, opts);
   if (index_name == "rowex") return RunTraceOn<RowexHotTrie>(trace, opts);
   if (index_name == "art") return RunTraceOn<ArtTree>(trace, opts);
@@ -568,8 +548,6 @@ inline DiffResult RunTraceOnIndex(const std::string& index_name,
   if (index_name == "rowex-rs") {
     return RunTraceOn<RangeShardedRowex>(trace, opts);
   }
-  if (index_name == "hybrid") return RunTraceOn<DifferHybrid>(trace, opts);
-  if (known != nullptr) *known = false;
   DiffResult res;
   res.ok = false;
   res.error = "unknown index: " + index_name;

@@ -49,12 +49,6 @@ concept HasReshard = requires(Index& idx, SplitterKeys sk) {
   { Index::kDefaultShards } -> std::convertible_to<unsigned>;
 };
 
-// Hybrid static/delta indexes (hot/hybrid.h) expose a synchronous merge.
-// Drivers call Quiesce() between phases to reach a fully-merged state, so
-// "merge-quiescent" baselines measure the base trie alone.
-template <typename Index>
-concept HasForceMerge = requires(Index& idx) { idx.ForceMerge(); };
-
 // Sharded wrappers expose their routing; drivers use it to pre-partition
 // request streams by shard owner (PartitionIdsByOwner), giving each worker
 // thread an exclusive contiguous slice of the shard space.
@@ -140,13 +134,6 @@ class StringDataSetAdapter {
       return index_.shard_count();
     } else {
       return 1;
-    }
-  }
-
-  // Drains any pending delta/merge work (no-op on non-hybrid indexes).
-  void Quiesce() {
-    if constexpr (HasForceMerge<IndexT<StringTableExtractor>>) {
-      index_.ForceMerge();
     }
   }
 
@@ -239,13 +226,6 @@ class IntDataSetAdapter {
       return index_.shard_count();
     } else {
       return 1;
-    }
-  }
-
-  // Drains any pending delta/merge work (no-op on non-hybrid indexes).
-  void Quiesce() {
-    if constexpr (HasForceMerge<IndexT<U64KeyExtractor>>) {
-      index_.ForceMerge();
     }
   }
 

@@ -1,6 +1,4 @@
-// Range-partitioned concurrency wrapper that PRESERVES GLOBAL KEY ORDER —
-// the ordered-workload counterpart of the hash-sharded wrapper
-// (ycsb/sharded.h, point operations only).
+// Range-partitioned concurrency wrapper that PRESERVES GLOBAL KEY ORDER.
 //
 // The key space is partitioned by kShards-1 splitter keys into contiguous
 // byte ranges; shard s owns keys in [splitter[s-1], splitter[s]) under

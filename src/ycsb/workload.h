@@ -240,10 +240,6 @@ RunResult RunBenchmark(Adapter& adapter, const DataSet& ds, size_t load_n,
   auto t1 = Clock::now();
   result.load_ops = load_n;
   result.load_seconds = std::chrono::duration<double>(t1 - t0).count();
-  // Hybrid static/delta indexes drain their delta here so the transaction
-  // phase (and the memory snapshot) starts merge-quiescent; the drain is
-  // deliberately outside the load timing, mirroring a bulk-arrival settling.
-  if constexpr (requires { adapter.Quiesce(); }) adapter.Quiesce();
   result.memory_bytes = adapter.MemoryBytes();
 
   // --- transaction phase ------------------------------------------------------

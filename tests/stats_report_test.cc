@@ -1,19 +1,15 @@
-// Coverage for the reporting substrate: depth statistics, node census,
-// bench config parsing, table formatting, and the hash-sharded wrapper
-// used by the scalability bench.
+// Coverage for the reporting substrate: depth statistics, node census and
+// bench config parsing.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/extractors.h"
 #include "common/rng.h"
 #include "hot/stats.h"
 #include "hot/trie.h"
 #include "ycsb/report.h"
-#include "ycsb/sharded.h"
 
 namespace hot {
 namespace {
@@ -65,49 +61,6 @@ TEST(BenchConfig, ParsesFlagsAndSuffixes) {
   EXPECT_EQ(cfg.ops, 10000u);
   EXPECT_EQ(cfg.threads, 3u);
   EXPECT_EQ(cfg.filter, "E");
-}
-
-TEST(ShardedIndex, PointOpsAcrossShards) {
-  ycsb::ShardedIndex<HotTrie<U64KeyExtractor>> sharded;
-  SplitMix64 rng(9);
-  std::vector<uint64_t> keys;
-  for (int i = 0; i < 20000; ++i) keys.push_back(rng.Next() >> 1);
-  for (uint64_t v : keys) {
-    EXPECT_TRUE(sharded.Insert(v, U64Key(v).ref()));
-  }
-  EXPECT_FALSE(sharded.Insert(keys[0], U64Key(keys[0]).ref()));
-  for (uint64_t v : keys) {
-    ASSERT_TRUE(sharded.Lookup(U64Key(v).ref()).has_value()) << v;
-  }
-  EXPECT_TRUE(sharded.Remove(U64Key(keys[0]).ref()));
-  EXPECT_FALSE(sharded.Lookup(U64Key(keys[0]).ref()).has_value());
-}
-
-TEST(ShardedIndex, ConcurrentMixedOps) {
-  ycsb::ShardedIndex<HotTrie<U64KeyExtractor>> sharded;
-  constexpr unsigned kThreads = 4;
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      SplitMix64 rng(t);
-      for (int i = 0; i < 20000; ++i) {
-        uint64_t v = (rng.NextBounded(50000) << 3) | t;
-        switch (rng.NextBounded(3)) {
-          case 0:
-            sharded.Insert(v, U64Key(v).ref());
-            break;
-          case 1:
-            sharded.Lookup(U64Key(v).ref());
-            break;
-          case 2:
-            sharded.Remove(U64Key(v).ref());
-            break;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  SUCCEED();  // thread-sanity: no crashes, no corruption (per-shard locks)
 }
 
 }  // namespace

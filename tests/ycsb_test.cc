@@ -182,9 +182,8 @@ TEST(Driver, AllIndexesAllWorkloadsInteger) {
   SmokeRun<IntDataSetAdapter<Masstree>>(ds);
 }
 
-// Range-sharded wrappers run the full workload matrix — including E, whose
-// scans the hash-sharded wrapper rejects at compile time — through the same
-// adapters as the raw indexes.
+// Range-sharded wrappers run the full workload matrix, scans of E
+// included, through the same adapters as the raw indexes.
 template <typename Ex>
 using RangeShardedHotOf = RangeShardedIndex<HotTrie<Ex>, Ex>;
 template <typename Ex>

@@ -6,7 +6,8 @@
 //              [--ops 20000] [--zipf] [--audit-every 1000]
 //              [--mix default|scan-heavy|workload-e]
 //       generate a deterministic trace and write it to a file
-//   fuzz_replay --replay in.trace [--index all|hot|rowex|art|masstree|btree]
+//   fuzz_replay --replay in.trace
+//              [--index all|hot|rowex|art|masstree|btree|hot-rs|rowex-rs]
 //       replay a trace file differentially; exit 1 on divergence
 //   fuzz_replay --replay in.trace --net [--scalar]
 //       replay the trace through a LOOPBACK KV SERVER (src/net) instead of
@@ -38,10 +39,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <random>
 #include <string>
@@ -179,6 +182,12 @@ bool ParseArgs(int argc, char** argv, Args* a) {
         return false;
       }
     }
+  }
+  if (a->index != "all" &&
+      std::find(std::begin(kIndexNames), std::end(kIndexNames), a->index) ==
+          std::end(kIndexNames)) {
+    std::fprintf(stderr, "unknown index %s\n", a->index.c_str());
+    return false;
   }
   return !a->mode.empty();
 }
