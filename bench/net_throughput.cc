@@ -18,7 +18,7 @@
 // which is what makes the percentile columns comparable.
 //
 //   net_throughput [--smoke] [--keys N] [--ops N] [--depth D]
-//                  [--workers W] [--shards S] [--scan-len L] [--seed S]
+//                  [--workers W] [--scan-len L] [--seed S]
 //
 // Writes BENCH_net_throughput.json; tools/check_net_gate.py gates the
 // batched/scalar ratio at 8 connections.
@@ -60,7 +60,6 @@ struct Args {
   uint64_t ops = 400'000;  // per phase, across all connections
   unsigned depth = 64;     // pipelined GETs per connection per round
   unsigned workers = 1;
-  unsigned shards = 16;
   uint32_t scan_len = 16;
   uint64_t seed = 0x9e24;
   std::vector<unsigned> conns = {1, 2, 4, 8, 16};
@@ -304,8 +303,6 @@ int main(int argc, char** argv) {
       a.depth = static_cast<unsigned>(std::strtoul(v.c_str(), nullptr, 10));
     else if (arg == "--workers")
       a.workers = static_cast<unsigned>(std::strtoul(v.c_str(), nullptr, 10));
-    else if (arg == "--shards")
-      a.shards = static_cast<unsigned>(std::strtoul(v.c_str(), nullptr, 10));
     else if (arg == "--scan-len")
       a.scan_len =
           static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
@@ -319,7 +316,6 @@ int main(int argc, char** argv) {
 
   ServerOptions opt;
   opt.workers = a.workers;
-  opt.shards = a.shards;
   KvServer server(opt);
   std::string err;
   if (!server.Start(&err)) Die("server start: %s", err);
@@ -335,7 +331,6 @@ int main(int argc, char** argv) {
       .Add("ops_per_phase", a.ops)
       .Add("depth", a.depth)
       .Add("workers", a.workers)
-      .Add("shards", a.shards)
       .Add("smoke", a.smoke);
 
   printf("%6s %8s %10s %9s %9s %9s %11s\n", "conns", "mode", "mops",

@@ -59,11 +59,6 @@ class RowexHotTrie {
   };
 
  public:
-  // ROWEX synchronizes internally (wait-free readers, per-node writer
-  // locks): wrappers that would otherwise add their own lock — the sharded
-  // ones in ycsb/ — detect this flag and forward lock-free.
-  static constexpr bool kInternallySynchronized = true;
-
   explicit RowexHotTrie(KeyExtractor extractor = KeyExtractor(),
                         MemoryCounter* counter = nullptr)
       : extractor_(extractor), alloc_(counter), root_(HotEntry::kEmpty) {}
@@ -127,39 +122,6 @@ class RowexHotTrie {
     for (size_t i = 0; i < n; ++i) {
       out[i] = VerifyTerminal(terminal[i], keys[i]);
     }
-  }
-
-  // Routed-subset batched lookup: out[id] = Lookup(keys[id]) for each id in
-  // `ids`; positions not named by an id are untouched.  One epoch guard
-  // covers the whole subset, and the id array doubles as the scatter map —
-  // the range-sharded wrapper feeds each shard its bucket without gathering
-  // keys or copying results.
-  void LookupBatchIndexed(std::span<const KeyRef> keys,
-                          std::span<const uint32_t> ids,
-                          std::span<std::optional<uint64_t>> out,
-                          unsigned width = kDefaultBatchWidth) const {
-    assert(out.size() >= keys.size());
-    if (ids.empty()) return;
-    EpochGuard guard(&epochs_);
-    uint64_t root = root_.load(std::memory_order_acquire);
-    if (!HotEntry::IsNode(root)) {
-      for (uint32_t id : ids) out[id] = VerifyTerminal(root, keys[id]);
-      return;
-    }
-    // Terminal scratch is indexed by original key position (the descent
-    // writes terminal[ids[j]]), so it is sized to the full key span.
-    constexpr size_t kInlineTerminals = 256;
-    uint64_t inline_buf[kInlineTerminals];
-    std::vector<uint64_t> heap_buf;
-    uint64_t* terminal = inline_buf;
-    if (keys.size() > kInlineTerminals) {
-      heap_buf.resize(keys.size());
-      terminal = heap_buf.data();
-    }
-    BatchDescendIndexed<AcquireSlotLoad>(root, keys.data(), ids.data(),
-                                         ids.size(), terminal, width,
-                                         [](uint32_t, NodeRef, unsigned) {});
-    for (uint32_t id : ids) out[id] = VerifyTerminal(terminal[id], keys[id]);
   }
 
   // Visits up to `limit` values with key >= start in key order.  Wait-free

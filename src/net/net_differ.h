@@ -46,7 +46,7 @@ namespace net {
 struct NetDiffOptions {
   unsigned pipeline_width = 24;  // consecutive lookups per pipelined flush
   uint32_t scan_chunk = 512;     // audit full-scan chunk size
-  ServerOptions server;          // shards / watermarks / scalar mode
+  ServerOptions server;          // workers / watermarks / scalar mode
 };
 
 struct NetDiffResult {

@@ -32,6 +32,10 @@ namespace {
 constexpr uint64_t kTagEventFd = 0;
 constexpr uint64_t kTagListenFd = 1;
 
+// GET drains narrower than this go scalar: a 2- or 3-wide AMAC group costs
+// more in staging than it recovers in overlapped misses.
+constexpr size_t kBatchLowWatermark = 4;
+
 }  // namespace
 
 // --- stats -------------------------------------------------------------------
@@ -425,8 +429,7 @@ struct KvServer::Worker {
               lsn = server->wal_->Append(persist::kWalPut, req.key,
                                          req.value);
             }
-            KeyRef esc = server->store_.At(*id).escaped_key();
-            prev_id = server->index_->Upsert(*id, esc);
+            prev_id = server->index_->Upsert(*id);
           }
         }
         if (!id.has_value()) {
@@ -503,9 +506,8 @@ struct KvServer::Worker {
           KeyRef(arena.data() + pending[i].key_off, pending[i].key_len);
     }
     batch_out.assign(n, std::nullopt);
-    unsigned watermark = std::max(2u, server->options_.batch_low_watermark);
     if (!server->force_scalar_.load(std::memory_order_relaxed) &&
-        n >= watermark) {
+        n >= kBatchLowWatermark) {
       server->index_->LookupBatch(
           std::span<const KeyRef>(batch_keys.data(), n),
           std::span<std::optional<uint64_t>>(batch_out.data(), n));
@@ -618,11 +620,8 @@ KvServer::KvServer(ServerOptions options, uint64_t store_capacity)
       store_(store_capacity),
       stats_(std::make_unique<AtomicStats>()) {
   if (options_.workers == 0) options_.workers = 1;
-  if (options_.shards == 0) options_.shards = 1;
   force_scalar_.store(options_.force_scalar, std::memory_order_relaxed);
-  index_ = std::make_unique<Index>(
-      ycsb::UniformByteSplitters(options_.shards),
-      RecordKeyExtractor(&store_));
+  index_ = std::make_unique<Index>(RecordKeyExtractor(&store_));
 }
 
 KvServer::~KvServer() { Stop(); }
@@ -768,27 +767,10 @@ bool KvServer::RecoverAndOpenWal(std::string* error) {
     ids.push_back(*id);
   }
 
-  if (n > 0) {
-    // Equi-depth splitters from the recovered escaped keys, so a skewed
-    // key space (shared prefixes) redistributes instead of collapsing
-    // into one shard of UniformByteSplitters.  Boundary keys must ascend
-    // strictly; equal neighbors are skipped (fewer shards, still correct).
-    ycsb::SplitterKeys splitters;
-    for (unsigned s = 1; s < options_.shards; ++s) {
-      KeyRef k = store_.At(ids[n * s / options_.shards]).escaped_key();
-      if (!splitters.empty() &&
-          KeyRef(splitters.back().data(), splitters.back().size())
-                  .Compare(k) >= 0) {
-        continue;
-      }
-      splitters.emplace_back(k.data(), k.data() + k.size());
-    }
-    if (!splitters.empty()) index_->Reshard(std::move(splitters));
-    unsigned threads = options_.recovery_threads != 0
-                           ? options_.recovery_threads
-                           : std::max(1u, std::thread::hardware_concurrency());
-    index_->BulkLoadSorted(std::span<const uint64_t>(ids.data(), n), threads);
-  }
+  unsigned threads = options_.recovery_threads != 0
+                         ? options_.recovery_threads
+                         : std::max(1u, std::thread::hardware_concurrency());
+  index_->BulkLoad(ids.data(), n, threads);
   auto t2 = Clock::now();
 
   recovery_.performed = true;
@@ -849,9 +831,10 @@ bool KvServer::TriggerSnapshot(std::string* error) {
   if (!writer.Open(persist::SnapshotPath(options_.data_dir), &err)) {
     return fail(err);
   }
-  // Global ordered scan; per-shard epoch protection inside the index.  A
-  // key upserted mid-scan contributes whichever record id the scan caught
-  // — either version replays to the same final state.
+  // One ordered scan under one epoch guard: nodes that inserts and deletes
+  // retire mid-scan wait for it to end (overwrites store in place and retire
+  // nothing).  A key upserted mid-scan contributes whichever record id the
+  // scan caught — either version replays to the same final state.
   index_->ScanFrom(KeyRef(), std::numeric_limits<size_t>::max(),
                    [&](uint64_t id) {
                      const RecordStore::Record& r = store_.At(id);

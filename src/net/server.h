@@ -1,12 +1,11 @@
-// Multi-client epoll KV server over the range-sharded ROWEX HOT stack
-// (DESIGN.md §12).
+// Multi-client epoll KV server over one ROWEX HOT trie (DESIGN.md §12).
 //
 // Architecture: `workers` event-loop threads, each with its own epoll set.
 // Worker 0 owns the listening socket and deals accepted connections to all
 // workers round-robin (an eventfd per worker wakes its loop).  A connection
 // lives on exactly one worker, so connection state needs no locks; the
-// index (RangeShardedIndex<RowexHotTrie>) and the record store are shared
-// and internally synchronized.
+// index (RowexHotTrie) and the record store are shared and internally
+// synchronized.
 //
 // Batch-aware scheduling — the reason this server exists: within one
 // event-loop iteration a worker parses every readable connection's pending
@@ -14,8 +13,8 @@
 // point GETs.  At the end of the iteration the queued GETs — across all
 // connections — drain as ONE call into the index's memory-level-parallel
 // batched lookup (AMAC interleaved descent, hot/batch_lookup.h), falling
-// back to a scalar loop when fewer than `batch_low_watermark` are pending
-// (a 2-wide "batch" costs more in staging than it recovers in overlap).
+// back to a scalar loop when fewer than four are pending (a 2-wide "batch"
+// costs more in staging than it recovers in overlap).
 // Replies therefore complete out of request order; the protocol's request
 // ids are what lets clients cope (net/protocol.h).
 //
@@ -42,7 +41,6 @@
 #include "net/protocol.h"
 #include "net/record_store.h"
 #include "persist/wal.h"
-#include "ycsb/range_sharded.h"
 
 namespace hot {
 namespace net {
@@ -51,10 +49,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; see KvServer::port() after Start
   unsigned workers = 1;
-  unsigned shards = 16;  // range shards over the escaped key space
-  // GET scheduling: batches below the low-watermark drain scalar; 0 or 1
-  // disables the scalar fallback entirely (everything batches).
-  unsigned batch_low_watermark = 4;
   bool force_scalar = false;  // scalar-drain mode (bench baseline)
   // Framing / resource limits.
   size_t max_frame_body = kDefaultMaxFrameBody;
@@ -140,9 +134,7 @@ struct ServerStats {
 
 class KvServer {
  public:
-  using Index =
-      ycsb::RangeShardedIndex<RowexHotTrie<RecordKeyExtractor>,
-                              RecordKeyExtractor>;
+  using Index = RowexHotTrie<RecordKeyExtractor>;
 
   // The record store holds RecordStore::kMaxRecords records; every PUT
   // appends one, overwrites included, and none is reclaimed.  PUTs past

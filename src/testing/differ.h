@@ -47,13 +47,11 @@
 namespace hot {
 namespace testing {
 
-// Range-sharded wrappers under differential test: splitter-routed shards of
+// Range-sharded wrapper under differential test: splitter-routed shards of
 // HOT tries, so traces exercise cross-shard ordered scans against the
 // single-tree Patricia oracle.
 template <typename Ex>
 using RangeShardedHot = ycsb::RangeShardedIndex<HotTrie<Ex>, Ex>;
-template <typename Ex>
-using RangeShardedRowex = ycsb::RangeShardedIndex<RowexHotTrie<Ex>, Ex>;
 
 struct DiffOptions {
   bool deep_audit = true;    // run audit.h / CheckStructure at audit ops
@@ -76,9 +74,9 @@ struct DiffResult {
 };
 
 // The index-under-test kinds: the five single-tree indexes plus the
-// range-sharded HOT wrappers (16 default shards, cross-shard scans).
+// range-sharded HOT wrapper (16 default shards, cross-shard scans).
 inline constexpr const char* kIndexNames[] = {
-    "hot", "rowex", "art", "masstree", "btree", "hot-rs", "rowex-rs"};
+    "hot", "rowex", "art", "masstree", "btree", "hot-rs"};
 inline constexpr unsigned kNumIndexes = std::size(kIndexNames);
 
 namespace detail {
@@ -545,9 +543,6 @@ inline DiffResult RunTraceOnIndex(const std::string& index_name,
   if (index_name == "masstree") return RunTraceOn<Masstree>(trace, opts);
   if (index_name == "btree") return RunTraceOn<BTree>(trace, opts);
   if (index_name == "hot-rs") return RunTraceOn<RangeShardedHot>(trace, opts);
-  if (index_name == "rowex-rs") {
-    return RunTraceOn<RangeShardedRowex>(trace, opts);
-  }
   DiffResult res;
   res.ok = false;
   res.error = "unknown index: " + index_name;

@@ -49,15 +49,6 @@ concept HasReshard = requires(Index& idx, SplitterKeys sk) {
   { Index::kDefaultShards } -> std::convertible_to<unsigned>;
 };
 
-// Sharded wrappers expose their routing; drivers use it to pre-partition
-// request streams by shard owner (PartitionIdsByOwner), giving each worker
-// thread an exclusive contiguous slice of the shard space.
-template <typename Index>
-concept HasShardOf = requires(const Index& idx, KeyRef key) {
-  { idx.ShardOf(key) } -> std::convertible_to<unsigned>;
-  { idx.shard_count() } -> std::convertible_to<unsigned>;
-};
-
 template <template <typename> class IndexT>
 class StringDataSetAdapter {
  public:
@@ -118,23 +109,6 @@ class StringDataSetAdapter {
     if (!tid.has_value()) return false;
     values_[*tid] = stamp;  // tuple write outside the index
     return true;
-  }
-
-  // Routing hooks for thread-affine drivers: the shard record i's key
-  // routes to, and the shard count (0 / 1 on unsharded indexes).
-  unsigned ShardOfRecord(size_t i) const {
-    if constexpr (HasShardOf<IndexT<StringTableExtractor>>) {
-      return index_.ShardOf(TerminatedView(ds_->strings[i]));
-    } else {
-      return 0;
-    }
-  }
-  unsigned ShardCount() const {
-    if constexpr (HasShardOf<IndexT<StringTableExtractor>>) {
-      return index_.shard_count();
-    } else {
-      return 1;
-    }
   }
 
   size_t MemoryBytes() const { return counter_.live_bytes(); }
@@ -211,22 +185,6 @@ class IntDataSetAdapter {
     if (!tid.has_value()) return false;
     values_[i] = stamp;  // integer keys embed the tid; stamp by record id
     return true;
-  }
-
-  // Routing hooks for thread-affine drivers (see StringDataSetAdapter).
-  unsigned ShardOfRecord(size_t i) const {
-    if constexpr (HasShardOf<IndexT<U64KeyExtractor>>) {
-      return index_.ShardOf(U64Key(ds_->ints[i]).ref());
-    } else {
-      return 0;
-    }
-  }
-  unsigned ShardCount() const {
-    if constexpr (HasShardOf<IndexT<U64KeyExtractor>>) {
-      return index_.shard_count();
-    } else {
-      return 1;
-    }
   }
 
   size_t MemoryBytes() const { return counter_.live_bytes(); }

@@ -11,10 +11,7 @@
 // idea of Masstree, and the range-retaining hybrid of Blink-hash).
 //
 // Synchronization is per shard: a RowexLockWord guards every operation on
-// single-threaded indexes; indexes that declare themselves internally
-// synchronized (RowexHotTrie::kInternallySynchronized) are forwarded to
-// lock-free, so "range-sharded ROWEX" composes sharding for write
-// scalability with wait-free readers inside each shard.
+// the shard's single-threaded index.
 //
 // Splitters come from three sources:
 //   * explicit SplitterKeys (tests: put boundaries exactly where the edge
@@ -74,35 +71,13 @@ using SplitterKeys = std::vector<std::vector<uint8_t>>;
 
 namespace detail {
 
-// Indexes that synchronize internally (ROWEX) opt out of the wrapper's
-// per-shard lock by declaring `static constexpr bool kInternallySynchronized
-// = true`.
-template <typename T>
-concept SelfSynchronized = requires {
-  requires bool(T::kInternallySynchronized);
-};
-
-template <typename T>
-concept ShardHasBulkLoad = requires(T& t, const uint64_t* v, size_t n,
-                                    unsigned threads) {
-  t.BulkLoad(v, n, threads);
-};
-
 template <typename T>
 concept ShardHasUpsert = requires(T& t, uint64_t v) {
   { t.Upsert(v) } -> std::same_as<std::optional<uint64_t>>;
 };
 
-template <typename T>
-concept ShardHasLookupBatch =
-    requires(const T& t, std::span<const KeyRef> keys,
-             std::span<std::optional<uint64_t>> out) {
-      t.LookupBatch(keys, out);
-    };
-
-// Indexes exposing the routed-subset AMAC entry point (HotTrie,
-// RowexHotTrie): the wrapper hands them (keys, ids) directly and skips the
-// gather/scatter copies entirely.
+// Indexes exposing the routed-subset AMAC entry point (HotTrie): the
+// wrapper hands them (keys, ids) directly, with no gather/scatter copies.
 template <typename T>
 concept ShardHasLookupBatchIndexed =
     requires(const T& t, std::span<const KeyRef> keys,
@@ -214,7 +189,6 @@ class RangeShardedIndex {
  public:
   using ShardType = Index;
   static constexpr unsigned kDefaultShards = 16;
-  static constexpr bool kSelfSynchronized = detail::SelfSynchronized<Index>;
 
   template <typename... Args>
   explicit RangeShardedIndex(KeyExtractor extractor = KeyExtractor(),
@@ -243,58 +217,12 @@ class RangeShardedIndex {
     InstallSplitters(std::move(splitters));
   }
 
-  // Bulk-builds the whole sharded index from `values` sorted ascending by
-  // extracted key with no duplicates.  Only legal on an EMPTY index (same
-  // precondition as Reshard) and quiescent-only.  The globally sorted
-  // input is cut at the splitter boundaries — shard s's slice ends at the
-  // first value whose key reaches splitter[s], found by lower_bound, so
-  // the slices partition the input exactly as RouteOne would key-for-key —
-  // and each nonempty slice drives the shard's native BulkLoad.  Shards
-  // build one after another, each with the full `threads` budget (a single
-  // build already saturates its workers).  Available only on shard types
-  // with a BulkLoad (HotTrie, RowexHotTrie); restart recovery
-  // (net/server.cc) rebuilds multi-million-key images through this instead
-  // of replaying inserts.
-  void BulkLoadSorted(std::span<const uint64_t> values, unsigned threads = 1)
-    requires detail::ShardHasBulkLoad<Index>
-  {
-    if (size() != 0) {
-      throw std::logic_error(
-          "RangeShardedIndex::BulkLoadSorted requires an empty index");
-    }
-    size_t lo = 0;
-    for (unsigned s = 0; s < shard_count_; ++s) {
-      size_t hi = values.size();
-      if (s + 1 < shard_count_) {
-        KeyRef bound(splitters_[s].data(), splitters_[s].size());
-        auto it = std::lower_bound(values.begin() + lo, values.end(), bound,
-                                   [&](uint64_t v, KeyRef b) {
-                                     KeyScratch scratch;
-                                     return extractor_(v, scratch).Compare(b) <
-                                            0;
-                                   });
-        hi = static_cast<size_t>(it - values.begin());
-      }
-      if (hi > lo) {
-        WithShard(s, [&](Index& idx) {
-          idx.BulkLoad(values.data() + lo, hi - lo, threads);
-        });
-      }
-      lo = hi;
-    }
-  }
-
   // --- point operations ------------------------------------------------------
 
-  // Inserts `value` under its extracted key.  The keyed overload saves the
-  // extraction when the caller already has the key bytes; `key` must equal
-  // the extracted key of `value`.
+  // Inserts `value` under its extracted key.
   bool Insert(uint64_t value) {
     KeyScratch scratch;
-    return Insert(value, extractor_(value, scratch));
-  }
-  bool Insert(uint64_t value, KeyRef key) {
-    return WithShard(ShardOf(key),
+    return WithShard(ShardOf(extractor_(value, scratch)),
                      [&](Index& idx) { return idx.Insert(value); });
   }
 
@@ -314,10 +242,8 @@ class RangeShardedIndex {
   // (true for every data set and trace keyspace in this repository).
   std::optional<uint64_t> Upsert(uint64_t value) {
     KeyScratch scratch;
-    return Upsert(value, extractor_(value, scratch));
-  }
-  std::optional<uint64_t> Upsert(uint64_t value, KeyRef key) {
-    return WithShard(ShardOf(key), [&](Index& idx) -> std::optional<uint64_t> {
+    const unsigned s = ShardOf(extractor_(value, scratch));
+    return WithShard(s, [&](Index& idx) -> std::optional<uint64_t> {
       if constexpr (detail::ShardHasUpsert<Index>) {
         return idx.Upsert(value);
       } else {
@@ -348,7 +274,7 @@ class RangeShardedIndex {
   // scatter-back order is deterministic.
   void LookupBatch(std::span<const KeyRef> keys,
                    std::span<std::optional<uint64_t>> out) const
-    requires detail::ShardHasLookupBatch<Index>
+    requires detail::ShardHasLookupBatchIndexed<Index>
   {
     assert(out.size() >= keys.size());
     const size_t n = keys.size();
@@ -357,8 +283,6 @@ class RangeShardedIndex {
       std::vector<uint32_t> shard_of;  // RouteBatch output, one per key
       std::vector<uint32_t> cursor;    // bucket starts, then fill cursors
       std::vector<uint32_t> ids;       // key ids grouped by shard
-      std::vector<KeyRef> bucket;                    // gather fallback only
-      std::vector<std::optional<uint64_t>> results;  // gather fallback only
     };
     static thread_local Scratch scratch;
 
@@ -385,22 +309,7 @@ class RangeShardedIndex {
       if (begin == end) continue;
       std::span<const uint32_t> ids(scratch.ids.data() + begin, end - begin);
       WithShard(static_cast<unsigned>(s), [&](const Index& idx) {
-        if constexpr (detail::ShardHasLookupBatchIndexed<Index>) {
-          idx.LookupBatchIndexed(keys, ids, out);
-        } else {
-          // Shard type without the indexed entry point: gather the bucket's
-          // keys, batch-look them up, scatter back — still in thread-local
-          // scratch, still one batch call per shard.
-          scratch.bucket.clear();
-          for (uint32_t id : ids) scratch.bucket.push_back(keys[id]);
-          scratch.results.assign(ids.size(), std::nullopt);
-          idx.LookupBatch(
-              std::span<const KeyRef>(scratch.bucket),
-              std::span<std::optional<uint64_t>>(scratch.results));
-          for (size_t j = 0; j < ids.size(); ++j) {
-            out[ids[j]] = scratch.results[j];
-          }
-        }
+        idx.LookupBatchIndexed(keys, ids, out);
       });
     }
   }
@@ -483,22 +392,14 @@ class RangeShardedIndex {
   template <typename Fn>
   decltype(auto) WithShard(unsigned s, Fn&& fn) const {
     assert(s < shard_count_);
-    if constexpr (kSelfSynchronized) {
-      return fn(const_cast<const Index&>(*slots_[s].index));
-    } else {
-      LockGuard guard(&slots_[s].lock);
-      return fn(const_cast<const Index&>(*slots_[s].index));
-    }
+    LockGuard guard(&slots_[s].lock);
+    return fn(const_cast<const Index&>(*slots_[s].index));
   }
   template <typename Fn>
   decltype(auto) WithShard(unsigned s, Fn&& fn) {
     assert(s < shard_count_);
-    if constexpr (kSelfSynchronized) {
-      return fn(*slots_[s].index);
-    } else {
-      LockGuard guard(&slots_[s].lock);
-      return fn(*slots_[s].index);
-    }
+    LockGuard guard(&slots_[s].lock);
+    return fn(*slots_[s].index);
   }
 
   // Partition point over the splitters: count of splitters <= key.  The

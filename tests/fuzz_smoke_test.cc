@@ -95,14 +95,16 @@ TEST(FuzzSmoke, Art) { RunSmoke("art"); }
 TEST(FuzzSmoke, Masstree) { RunSmoke("masstree"); }
 TEST(FuzzSmoke, Btree) { RunSmoke("btree"); }
 
-// Range-sharded wrappers (ycsb/range_sharded.h): same >= 1e6-op budget each.
+// The scan-heavy mix on the trie kv_server scans: same >= 1e6-op budget.
+TEST(FuzzSmoke, RowexScanHeavy) { RunSmoke("rowex", true); }
+
+// Range-sharded wrapper (ycsb/range_sharded.h): same >= 1e6-op budget each.
 // The scan-heavy mix forces cross-shard ScanFrom spillover — uniform byte
 // splitters put the kUniform / kAdvMulti8 / kInteger keyspaces across many
 // shards, while kPrefix collapses into one shard and exercises the
 // single-shard fast path.
 TEST(FuzzSmoke, HotRangeSharded) { RunSmoke("hot-rs"); }
 TEST(FuzzSmoke, HotRangeShardedScanHeavy) { RunSmoke("hot-rs", true); }
-TEST(FuzzSmoke, RowexRangeShardedScanHeavy) { RunSmoke("rowex-rs", true); }
 
 // Concurrent ROWEX arm: one writer churns a fixed-seed key set while two
 // readers probe and scan.  Readers check the invariants that hold mid-race

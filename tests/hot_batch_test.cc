@@ -118,11 +118,10 @@ TEST(HotBatchTest, TidOnlyRoot) {
 }
 
 // LookupBatchIndexed: only the positions named by `ids` are looked up and
-// written; everything else in `out` is untouched.  Exercised over both
-// tries, a sparse non-contiguous id subset, and n > the 256-entry inline
-// terminal buffer (the heap-scratch path).
-template <typename Trie>
-void ExpectIndexedMatchesScalar(const Trie& trie,
+// written; everything else in `out` is untouched.  Exercised over a sparse
+// non-contiguous id subset and n > the 256-entry inline terminal buffer
+// (the heap-scratch path).
+void ExpectIndexedMatchesScalar(const U64Hot& trie,
                                 const std::vector<KeyRef>& keys,
                                 const std::vector<uint32_t>& ids) {
   std::vector<std::optional<uint64_t>> out(keys.size(),
@@ -139,9 +138,8 @@ void ExpectIndexedMatchesScalar(const Trie& trie,
   }
 }
 
-template <typename Trie>
-void RunIndexedSubsetCase() {
-  Trie trie;
+TEST(HotBatchTest, IndexedSubsetMatchesScalar) {
+  U64Hot trie;
   std::vector<uint64_t> present;
   SplitMix64 rng(17);
   while (present.size() < 20'000) {
@@ -155,14 +153,6 @@ void RunIndexedSubsetCase() {
   ExpectIndexedMatchesScalar(trie, probes.keys, ids);
   // Empty subset: nothing written.
   ExpectIndexedMatchesScalar(trie, probes.keys, {});
-}
-
-TEST(HotBatchTest, IndexedSubsetMatchesScalar) {
-  RunIndexedSubsetCase<U64Hot>();
-}
-
-TEST(HotBatchTest, RowexIndexedSubsetMatchesScalar) {
-  RunIndexedSubsetCase<RowexHotTrie<U64KeyExtractor>>();
 }
 
 TEST(HotBatchTest, IndexedTidOnlyRoot) {

@@ -563,8 +563,6 @@ class NetServerFixture : public Test {
   KvServer server_{[] {
     ServerOptions opt;
     opt.workers = 2;
-    opt.shards = 4;
-    opt.batch_low_watermark = 2;
     return opt;
   }()};
 };

@@ -45,8 +45,6 @@ KeyRef K(const std::string& s) { return KeyRef(s); }
 ServerOptions SmallServer(unsigned workers = 1) {
   ServerOptions opt;
   opt.workers = workers;
-  opt.shards = 8;
-  opt.batch_low_watermark = 4;
   return opt;
 }
 

@@ -47,7 +47,6 @@ ServerOptions DurableServer(const std::string& dir,
                             persist::Durability durability) {
   ServerOptions opt;
   opt.workers = 1;
-  opt.shards = 4;
   opt.data_dir = dir;
   opt.durability = durability;
   opt.wal_flush_ms = 5;

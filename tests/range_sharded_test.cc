@@ -21,7 +21,6 @@
 #include "common/extractors.h"
 #include "common/key.h"
 #include "common/rng.h"
-#include "hot/rowex.h"
 #include "hot/trie.h"
 #include "obs/telemetry.h"
 
@@ -36,8 +35,6 @@ using ycsb::UniformByteSplitters;
 
 using RangeShardedU64 = RangeShardedIndex<HotTrie<U64KeyExtractor>,
                                           U64KeyExtractor>;
-using RangeShardedRowexU64 =
-    RangeShardedIndex<RowexHotTrie<U64KeyExtractor>, U64KeyExtractor>;
 
 std::vector<uint8_t> BigEndian(uint64_t v) {
   std::vector<uint8_t> bytes(8);
@@ -176,8 +173,7 @@ TEST(RangeSharded, EmptyShardSpillover) {
 
 // --- differential ----------------------------------------------------------
 
-template <typename Index>
-void DifferentialMixedOps(Index& idx, uint64_t seed) {
+void DifferentialMixedOps(RangeShardedU64& idx, uint64_t seed) {
   std::set<uint64_t> oracle;
   SplitMix64 rng(seed);
   constexpr uint64_t kKeyRange = 3000;  // straddles the 1000/2000 splitters
@@ -220,14 +216,6 @@ void DifferentialMixedOps(Index& idx, uint64_t seed) {
 TEST(RangeSharded, DifferentialMixedOpsLocked) {
   RangeShardedU64 idx(SplittersAt({1000, 2000}), U64KeyExtractor());
   DifferentialMixedOps(idx, 77);
-}
-
-TEST(RangeSharded, DifferentialMixedOpsRowex) {
-  static_assert(RangeShardedRowexU64::kSelfSynchronized,
-                "ROWEX shards must bypass the wrapper lock");
-  static_assert(!RangeShardedU64::kSelfSynchronized);
-  RangeShardedRowexU64 idx(SplittersAt({1000, 2000}), U64KeyExtractor());
-  DifferentialMixedOps(idx, 78);
 }
 
 TEST(RangeSharded, LookupBatchMatchesScalar) {
@@ -508,21 +496,16 @@ TEST(RangeSharded, SplitterHelpersShapes) {
 
 // 8 threads of mixed inserts / lookups / removes / upserts / cross-shard
 // scans.  Under TSan this is the data-race check for the per-shard lock
-// path AND the lock-free ROWEX path; unconditionally it checks that no
-// operation is lost and every scan result is globally ordered.
-// `assert_ordered`: under the per-shard lock each shard scan is atomic, so
-// results must be strictly increasing even across shards (partitioning
-// bounds every shard's keys by its splitters).  ROWEX shard scans run
-// wait-free AGAINST in-flight writers, where per-element ordering is the
-// index's weaker "consistent recent state" contract — that arm only checks
-// the scan terminates within its limit.
-template <typename Index>
-void ConcurrentMixedOps(bool assert_ordered) {
+// path; unconditionally it checks that no operation is lost and every scan
+// result is globally ordered: under the per-shard lock each shard scan is
+// atomic, so results must be strictly increasing even across shards
+// (partitioning bounds every shard's keys by its splitters).
+TEST(RangeSharded, ConcurrentMixedOpsLocked) {
   constexpr unsigned kThreads = 8;
   constexpr uint64_t kPerThread = 8000;
   constexpr uint64_t kTotal = kThreads * kPerThread;
-  Index idx(SplittersAt({kTotal / 4, kTotal / 2, 3 * kTotal / 4}),
-            U64KeyExtractor());
+  RangeShardedU64 idx(SplittersAt({kTotal / 4, kTotal / 2, 3 * kTotal / 4}),
+                      U64KeyExtractor());
 
   // Phase 1: disjoint inserts.
   std::vector<std::thread> threads;
@@ -541,7 +524,7 @@ void ConcurrentMixedOps(bool assert_ordered) {
   // Phase 2: mixed readers, scanners, removers (odd keys), upserters.
   std::atomic<uint64_t> scanned{0};
   for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&idx, &scanned, assert_ordered, t] {
+    threads.emplace_back([&idx, &scanned, t] {
       SplitMix64 rng(123 + t);
       for (uint64_t i = 0; i < kPerThread; ++i) {
         uint64_t v = rng.NextBounded(kTotal);
@@ -554,7 +537,7 @@ void ConcurrentMixedOps(bool assert_ordered) {
             bool first = true;
             U64Key k(v);
             size_t n = idx.ScanFrom(k.ref(), 128, [&](uint64_t got) {
-              if (assert_ordered && !first) ASSERT_GT(got, prev);
+              if (!first) ASSERT_GT(got, prev);
               prev = got;
               first = false;
             });
@@ -582,14 +565,6 @@ void ConcurrentMixedOps(bool assert_ordered) {
     ASSERT_TRUE(got.has_value()) << v;
     ASSERT_EQ(*got, v);
   }
-}
-
-TEST(RangeSharded, ConcurrentMixedOpsLocked) {
-  ConcurrentMixedOps<RangeShardedU64>(/*assert_ordered=*/true);
-}
-
-TEST(RangeSharded, ConcurrentMixedOpsRowex) {
-  ConcurrentMixedOps<RangeShardedRowexU64>(/*assert_ordered=*/false);
 }
 
 }  // namespace

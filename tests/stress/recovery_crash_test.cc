@@ -119,7 +119,6 @@ Image RecoverToImage(const std::string& dir) {
                                    int port_fd) {
   ServerOptions opt;
   opt.workers = 1;
-  opt.shards = 4;
   opt.data_dir = dir;
   opt.durability = durability;
   opt.wal_flush_ms = 2;  // tight async cadence: more fsync boundaries to
@@ -222,7 +221,6 @@ TEST(RecoveryCrash, SyncModeNeverLosesAnAckedWrite) {
   // serve exactly what recovery promised.
   ServerOptions opt;
   opt.workers = 1;
-  opt.shards = 4;
   opt.data_dir = dir.path;
   opt.durability = persist::Durability::kSync;
   KvServer server(opt);

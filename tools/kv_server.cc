@@ -1,16 +1,14 @@
 // Standalone KV server binary over src/net (DESIGN.md §12, §13).
 //
-//   kv_server [--host 127.0.0.1] [--port 7000] [--workers W] [--shards S]
-//             [--batch-low-watermark N] [--scalar]
+//   kv_server [--host 127.0.0.1] [--port 7000] [--workers W] [--scalar]
 //             [--data-dir DIR] [--durability none|async|sync]
 //             [--snapshot-trigger-mb MB] [--wal-flush-ms MS]
 //             [--stats-every SECONDS]
 //
-// Serves until SIGINT/SIGTERM, then prints a final stats snapshot.  The
-// scheduling flags mirror ServerOptions: --scalar forces the scalar GET
-// drain (the baseline bench/net_throughput compares against), and the
-// low-watermark decides how many same-iteration GETs it takes before the
-// batched AMAC path engages.
+// Serves until SIGINT/SIGTERM, then prints a final stats snapshot.
+// --scalar forces the scalar GET drain (the baseline bench/net_throughput
+// compares against); otherwise four or more same-iteration GETs take the
+// batched AMAC path.
 //
 // With --data-dir the server is durable: it recovers whatever snapshot +
 // WAL it finds there on startup, write-ahead-logs every PUT/DELETE, and
@@ -50,8 +48,6 @@ void Usage(FILE* to) {
       "  --host ADDR               bind address (default 127.0.0.1)\n"
       "  --port N                  TCP port, 0 = ephemeral (default 7000)\n"
       "  --workers N               event-loop threads, >= 1 (default 1)\n"
-      "  --shards N                range shards, >= 1 (default 16)\n"
-      "  --batch-low-watermark N   GETs needed to engage the batched drain\n"
       "  --scalar                  force the scalar GET drain\n"
       "  --data-dir DIR            durable mode: recover from / persist to\n"
       "                            DIR (must exist and be writable)\n"
@@ -154,12 +150,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       opt.workers = static_cast<unsigned>(ParseU64(arg, v, 1024));
       if (opt.workers == 0) Die("--workers: must be >= 1");
-    } else if (arg == "--shards") {
-      opt.shards = static_cast<unsigned>(ParseU64(arg, v, 4096));
-      if (opt.shards == 0) Die("--shards: must be >= 1");
-    } else if (arg == "--batch-low-watermark") {
-      opt.batch_low_watermark =
-          static_cast<unsigned>(ParseU64(arg, v, 1u << 20));
     } else if (arg == "--data-dir") {
       opt.data_dir = v;
     } else if (arg == "--durability") {
@@ -189,8 +179,8 @@ int main(int argc, char** argv) {
   }
   signal(SIGINT, OnSignal);
   signal(SIGTERM, OnSignal);
-  std::printf("kv_server listening on %s:%u (%u workers, %u shards, %s)\n",
-              opt.host.c_str(), server.port(), opt.workers, opt.shards,
+  std::printf("kv_server listening on %s:%u (%u workers, %s)\n",
+              opt.host.c_str(), server.port(), opt.workers,
               opt.force_scalar ? "scalar drain" : "batched drain");
   if (server.durable()) {
     const hot::net::RecoveryInfo& r = server.recovery();
