@@ -30,9 +30,7 @@
 #include "bench/json_out.h"
 #include "btree/btree.h"
 #include "common/extractors.h"
-#include "common/thread.h"
 #include "hot/rowex.h"
-#include "hot/trie.h"
 #include "masstree/masstree.h"
 #include "ycsb/datasets.h"
 #include "ycsb/range_sharded.h"
@@ -57,34 +55,16 @@ constexpr unsigned kScanOpsDivisor = 16;  // scans touch ~50 elements each
 // Three timed phases over any index exposing Insert(value) / Lookup(key) /
 // ScanFrom(key, limit, fn): parallel inserts of order[0..load_n), parallel
 // uniform lookups, then the concurrent workload-E mix where each thread
-// inserts fresh records from its own slice of order[load_n..).
-//
-// `affine` turns on thread-affine execution for sharded arms: workers pin
-// to CPUs, and the insert/lookup streams are pre-partitioned so worker t
-// only touches the contiguous shard range it owns (`shard_of(record_id)`
-// routes; ShardRangeOfThread partitions) — same total work, zero cross-
-// thread shard contention.  Barrier waits always yield: with threads
-// oversubscribing the cores, a spinning barrier burns a scheduler quantum
-// per straggler.
-template <typename Index, typename ShardOfId>
+// inserts fresh records from its own slice of order[load_n..).  Barrier
+// waits always yield: with threads oversubscribing the cores, a spinning
+// barrier burns a scheduler quantum per straggler.
+template <typename Index>
 PhaseResult RunPhases(Index& idx, unsigned threads, const DataSet& ds,
                       const std::vector<uint32_t>& order, size_t load_n,
-                      size_t lookups, size_t scan_ops, bool affine,
-                      unsigned shard_count, ShardOfId&& shard_of) {
+                      size_t lookups, size_t scan_ops) {
   using Clock = std::chrono::steady_clock;
   std::atomic<unsigned> ready{0};
   std::atomic<bool> go{false};
-
-  std::vector<std::vector<uint32_t>> insert_streams, lookup_streams;
-  if (affine) {
-    std::vector<uint32_t> ids(order.begin(),
-                              order.begin() + static_cast<long>(load_n));
-    insert_streams = PartitionIdsByOwner(ids, shard_count, threads, shard_of);
-    ids.resize(lookups);
-    SplitMix64 rng(91);
-    for (auto& id : ids) id = order[rng.NextBounded(load_n)];
-    lookup_streams = PartitionIdsByOwner(ids, shard_count, threads, shard_of);
-  }
 
   auto run_parallel = [&](auto&& body) {
     ready = 0;
@@ -92,7 +72,6 @@ PhaseResult RunPhases(Index& idx, unsigned threads, const DataSet& ds,
     std::vector<std::thread> workers;
     for (unsigned t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
-        if (affine) PinThreadToCpu(t);
         ready.fetch_add(1, std::memory_order_release);
         while (!go.load(std::memory_order_acquire)) {
           std::this_thread::yield();
@@ -111,20 +90,10 @@ PhaseResult RunPhases(Index& idx, unsigned threads, const DataSet& ds,
   };
 
   double insert_seconds = run_parallel([&](unsigned t) {
-    if (affine) {
-      for (uint32_t id : insert_streams[t]) idx.Insert(id);
-      return;
-    }
     size_t lo = load_n * t / threads, hi = load_n * (t + 1) / threads;
     for (size_t i = lo; i < hi; ++i) idx.Insert(order[i]);
   });
   double lookup_seconds = run_parallel([&](unsigned t) {
-    if (affine) {
-      for (uint32_t id : lookup_streams[t]) {
-        idx.Lookup(TerminatedView(ds.strings[id]));
-      }
-      return;
-    }
     SplitMix64 rng(91 + t);
     size_t per_thread = lookups / threads;
     for (size_t i = 0; i < per_thread; ++i) {
@@ -154,15 +123,6 @@ PhaseResult RunPhases(Index& idx, unsigned threads, const DataSet& ds,
   return {static_cast<double>(load_n) / insert_seconds / 1e6,
           static_cast<double>(lookups) / lookup_seconds / 1e6,
           static_cast<double>(scan_ops) / scan_seconds / 1e6};
-}
-
-// Random-placement arms (everything except HOT(rs-affine)).
-template <typename Index>
-PhaseResult RunPhases(Index& idx, unsigned threads, const DataSet& ds,
-                      const std::vector<uint32_t>& order, size_t load_n,
-                      size_t lookups, size_t scan_ops) {
-  return RunPhases(idx, threads, ds, order, load_n, lookups, scan_ops,
-                   /*affine=*/false, 1, [](uint32_t) { return 0u; });
 }
 
 }  // namespace
@@ -211,15 +171,16 @@ int main(int argc, char** argv) {
 
   using Ex = StringTableExtractor;
   const Ex extractor(&ds.strings);
-  constexpr unsigned kArms = 6;
-  const char* arm_names[kArms] = {"HOT(ROWEX)",          "HOT(range-shard)",
-                                  "HOT(rs-affine)",      "ART(range-shard)",
+  constexpr unsigned kArms = 4;
+  const char* arm_names[kArms] = {"HOT(ROWEX)", "ART(range-shard)",
                                   "Masstree(range-shard)",
                                   "BTree(range-shard)"};
   double base_lookup[kArms] = {};
 
   for (unsigned threads = 1; threads <= max_threads; ++threads) {
-    auto report_arm = [&](unsigned arm, const PhaseResult& r) {
+    auto run_arm = [&](unsigned arm, auto& idx) {
+      PhaseResult r =
+          RunPhases(idx, threads, ds, order, load_n, cfg.ops, scan_ops);
       if (threads == 1) base_lookup[arm] = r.lookup_mops;
       table.PrintRow({std::to_string(threads), arm_names[arm],
                       Fmt(r.insert_mops), Fmt(r.lookup_mops),
@@ -227,40 +188,21 @@ int main(int argc, char** argv) {
                       Fmt(r.lookup_mops / base_lookup[arm]) + "x"});
       add_json(threads, arm_names[arm], r);
     };
-    auto run_arm = [&](unsigned arm, auto& idx) {
-      report_arm(arm, RunPhases(idx, threads, ds, order, load_n, cfg.ops,
-                                scan_ops));
-    };
     {
       RowexHotTrie<Ex> hot{extractor};
       run_arm(0, hot);
     }
     {
-      RangeShardedIndex<HotTrie<Ex>, Ex> idx(splitters, extractor);
+      RangeShardedIndex<ArtTree<Ex>, Ex> idx(splitters, extractor);
       run_arm(1, idx);
     }
     {
-      // Same index type as HOT(range-shard), run thread-affine: workers
-      // pinned, streams pre-partitioned to each worker's own shard range.
-      RangeShardedIndex<HotTrie<Ex>, Ex> idx(splitters, extractor);
-      PhaseResult r = RunPhases(
-          idx, threads, ds, order, load_n, cfg.ops, scan_ops,
-          /*affine=*/true, idx.shard_count(), [&](uint32_t id) {
-            return idx.ShardOf(TerminatedView(ds.strings[id]));
-          });
-      report_arm(2, r);
-    }
-    {
-      RangeShardedIndex<ArtTree<Ex>, Ex> idx(splitters, extractor);
-      run_arm(3, idx);
-    }
-    {
       RangeShardedIndex<Masstree<Ex>, Ex> idx(splitters, extractor);
-      run_arm(4, idx);
+      run_arm(2, idx);
     }
     {
       RangeShardedIndex<BTree<Ex>, Ex> idx(splitters, extractor);
-      run_arm(5, idx);
+      run_arm(3, idx);
     }
   }
   json.WriteFile();

@@ -1,5 +1,4 @@
-// Thread identity and placement helpers for the thread-affine sharding and
-// thread-local allocation paths.
+// Thread identity for the thread-local allocation paths.
 //
 // CurrentThreadIndex() hands every OS thread a small dense id (0, 1, 2, ...)
 // on first use.  The id is process-global and never reused, so striped
@@ -7,24 +6,11 @@
 // thread to a stripe with one modulo and no registration protocol.  Dense
 // beats std::this_thread::get_id() hashing: consecutively spawned workers
 // land on distinct stripes instead of colliding pseudo-randomly.
-//
-// PinThreadToCpu() is the NUMA/affinity lever: a worker pinned to one CPU
-// first-touches its arena pages there, so the kernel places them on that
-// socket's memory node and every later access stays local.  Pinning is
-// best-effort — on kernels/boxes where the syscall is unavailable (or with
-// fewer CPUs than workers) it returns false and the caller proceeds
-// unpinned; correctness never depends on placement.
 
 #ifndef HOT_COMMON_THREAD_H_
 #define HOT_COMMON_THREAD_H_
 
 #include <atomic>
-#include <thread>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace hot {
 
@@ -33,22 +19,6 @@ inline unsigned CurrentThreadIndex() {
   static std::atomic<unsigned> next{0};
   thread_local unsigned id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-// Best-effort pinning of the calling thread to `cpu` (modulo the number of
-// CPUs actually online).  Returns true if the affinity mask was applied.
-inline bool PinThreadToCpu(unsigned cpu) {
-#if defined(__linux__)
-  unsigned ncpus = std::thread::hardware_concurrency();
-  if (ncpus == 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % ncpus, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 }  // namespace hot

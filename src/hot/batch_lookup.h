@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 
 #include "common/key.h"
 #include "hot/node.h"
@@ -51,12 +50,9 @@ struct AcquireSlotLoad {
   }
 };
 
-// Indexed variant: descends keys[ids[j]] for j in [0, n) and writes
-// terminal[ids[j]], so a caller holding a routed subset of a larger key
-// array (ycsb/range_sharded.h buckets one shard's keys by input position)
-// can drive one AMAC group per subset with NO gather of the keys and NO
-// scatter of the results — the id array IS the scatter map.  `ids ==
-// nullptr` means the identity mapping (the plain BatchDescend below).
+// Descends every `keys[i]` from `root` to its terminal entry (tid or
+// empty), keeping up to `width` probes in flight; results land in
+// terminal[i].
 //
 // `per_level(key_index, node, slot_index)` is invoked for every (node,
 // chosen slot) a probe passes through, in root-to-leaf order per key —
@@ -64,10 +60,9 @@ struct AcquireSlotLoad {
 // no-op.  `root` must be a node entry (callers handle empty/tid roots,
 // which need no traversal).
 template <typename SlotLoad, typename PerLevel>
-inline void BatchDescendIndexed(uint64_t root, const KeyRef* keys,
-                                const uint32_t* ids, size_t n,
-                                uint64_t* terminal, unsigned width,
-                                PerLevel&& per_level) {
+inline void BatchDescend(uint64_t root, const KeyRef* keys, size_t n,
+                         uint64_t* terminal, unsigned width,
+                         PerLevel&& per_level) {
   assert(HotEntry::IsNode(root));
   if (n == 0) return;
   if (width == 0) width = kDefaultBatchWidth;
@@ -80,13 +75,10 @@ inline void BatchDescendIndexed(uint64_t root, const KeyRef* keys,
   Probe probes[kMaxBatchWidth];
   unsigned active = 0;
   size_t next = 0;
-  auto key_of = [&](size_t j) {
-    return ids != nullptr ? ids[j] : static_cast<uint32_t>(j);
-  };
 
   PrefetchNode(root);  // shared first level: one prefetch serves everyone
   while (active < width && next < n) {
-    probes[active++] = {root, key_of(next++)};
+    probes[active++] = {root, static_cast<uint32_t>(next++)};
   }
 
   while (active > 0) {
@@ -106,7 +98,7 @@ inline void BatchDescendIndexed(uint64_t root, const KeyRef* keys,
         terminal[pr.key_idx] = child;
         if (next < n) {
           // Refill from the pending keys; the root is hot by now.
-          pr = {root, key_of(next++)};
+          pr = {root, static_cast<uint32_t>(next++)};
           ++s;
         } else {
           probes[s] = probes[--active];  // drain: retire this probe slot
@@ -114,17 +106,6 @@ inline void BatchDescendIndexed(uint64_t root, const KeyRef* keys,
       }
     }
   }
-}
-
-// Descends every `keys[i]` from `root` to its terminal entry (tid or
-// empty), keeping up to `width` probes in flight; results land in
-// terminal[i].  See BatchDescendIndexed for the contract.
-template <typename SlotLoad, typename PerLevel>
-inline void BatchDescend(uint64_t root, const KeyRef* keys, size_t n,
-                         uint64_t* terminal, unsigned width,
-                         PerLevel&& per_level) {
-  BatchDescendIndexed<SlotLoad>(root, keys, nullptr, n, terminal, width,
-                                std::forward<PerLevel>(per_level));
 }
 
 }  // namespace hot

@@ -106,17 +106,6 @@ class HotTrie {
                    std::span<std::optional<uint64_t>> out,
                    unsigned width = kDefaultBatchWidth) const;
 
-  // Routed-subset batched lookup: out[id] = Lookup(keys[id]) for every id
-  // in `ids` (positions of `keys`/`out` not named by an id are untouched).
-  // This is the shard-bucket entry point of ycsb/range_sharded.h: the
-  // router hands each shard its id subset and the descents still run as
-  // one memory-level-parallel AMAC group, with the id array doubling as
-  // the scatter map — no key gather, no result copy-back.
-  void LookupBatchIndexed(std::span<const KeyRef> keys,
-                          std::span<const uint32_t> ids,
-                          std::span<std::optional<uint64_t>> out,
-                          unsigned width = kDefaultBatchWidth) const;
-
   // Ordered iteration.  An Iterator is valid() while it points at an entry.
   class Iterator;
   Iterator Begin() const;
@@ -442,32 +431,6 @@ void HotTrie<KeyExtractor>::LookupBatch(std::span<const KeyRef> keys,
   BatchDescend<PlainSlotLoad>(root_, keys.data(), n, terminal, width,
                               [](uint32_t, NodeRef, unsigned) {});
   for (size_t i = 0; i < n; ++i) out[i] = VerifyTerminal(terminal[i], keys[i]);
-}
-
-template <typename KeyExtractor>
-void HotTrie<KeyExtractor>::LookupBatchIndexed(
-    std::span<const KeyRef> keys, std::span<const uint32_t> ids,
-    std::span<std::optional<uint64_t>> out, unsigned width) const {
-  assert(out.size() >= keys.size());
-  if (ids.empty()) return;
-  if (!HotEntry::IsNode(root_)) {
-    for (uint32_t id : ids) out[id] = VerifyTerminal(root_, keys[id]);
-    return;
-  }
-  // The terminal scratch is indexed by original key position (the descent
-  // writes terminal[ids[j]]), so it is sized to the full key span.
-  constexpr size_t kInlineTerminals = 256;
-  uint64_t inline_buf[kInlineTerminals];
-  std::vector<uint64_t> heap_buf;
-  uint64_t* terminal = inline_buf;
-  if (keys.size() > kInlineTerminals) {
-    heap_buf.resize(keys.size());
-    terminal = heap_buf.data();
-  }
-  BatchDescendIndexed<PlainSlotLoad>(root_, keys.data(), ids.data(),
-                                     ids.size(), terminal, width,
-                                     [](uint32_t, NodeRef, unsigned) {});
-  for (uint32_t id : ids) out[id] = VerifyTerminal(terminal[id], keys[id]);
 }
 
 // ---------------------------------------------------------------------------

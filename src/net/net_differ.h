@@ -339,7 +339,7 @@ class NetTraceRunner {
     KeyRef key = KeyAt(op.idx, scratch);
     if (WireRejects(key)) return true;
     uint32_t limit = std::min<uint32_t>(
-        op.arg ? op.arg : 1, opts_.server.max_scan_limit);
+        op.arg ? op.arg : 1, kDefaultMaxScanLimit);
     Reply reply;
     if (!client_.Scan(key, limit, &reply, err)) return false;
     if (!reply.ok()) {

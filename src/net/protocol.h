@@ -26,10 +26,10 @@
 //
 // Error containment contract (tests/net_protocol_test.cc pins it):
 //   * The 4-byte length prefix is the only thing the server trusts before
-//     validation.  body_len outside [kMinBody, max_frame_body] is a FATAL
-//     framing error: the server sends one kBadFrame reply (request id 0 —
-//     the frame was never parsed far enough to know one) and closes the
-//     connection.  Nothing after an invalid length is interpreted.
+//     validation.  body_len outside [kMinBody, kDefaultMaxFrameBody] is a
+//     FATAL framing error: the server sends one kBadFrame reply (request
+//     id 0 — the frame was never parsed far enough to know one) and closes
+//     the connection.  Nothing after an invalid length is interpreted.
 //   * Once the declared body is fully buffered, any parse error INSIDE it
 //     (unknown opcode, key length inconsistent with the frame, oversized
 //     key, zero scan limit) is contained to that frame: the server replies
@@ -90,12 +90,11 @@ inline constexpr size_t kMaxKeyLen = 254;
 // Smallest valid body: request id + opcode.
 inline constexpr size_t kMinBody = 9;
 
-// Default cap on body_len, far above any legal request (replies can be
-// larger; clients size their cap to max_scan_limit).  ServerOptions may
-// lower it.
+// The server's cap on body_len, far above any legal request (replies can
+// be larger; clients size their cap to kDefaultMaxScanLimit).
 inline constexpr size_t kDefaultMaxFrameBody = 1u << 20;
 
-// Default cap on one SCAN request's limit operand.
+// The server's cap on one SCAN request's limit operand.
 inline constexpr uint32_t kDefaultMaxScanLimit = 65536;
 
 // --- little-endian primitive accessors -------------------------------------

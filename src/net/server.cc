@@ -36,6 +36,11 @@ constexpr uint64_t kTagListenFd = 1;
 // more in staging than it recovers in overlapped misses.
 constexpr size_t kBatchLowWatermark = 4;
 
+// Backpressure thresholds on one connection's pending reply bytes: reading
+// pauses above the high watermark and resumes below the low one.
+constexpr size_t kHighWatermark = 4u << 20;
+constexpr size_t kLowWatermark = 1u << 20;
+
 }  // namespace
 
 // --- stats -------------------------------------------------------------------
@@ -329,11 +334,10 @@ struct KvServer::Worker {
   // returns the number of bytes they span.
   size_t ParseFrames(Conn* c, const uint8_t* data, size_t n) {
     size_t used = 0;
-    const ServerOptions& opt = server->options_;
     while (!c->want_close) {
       const uint8_t* body;
       size_t body_len, consumed;
-      FrameVerdict v = NextFrame(data + used, n - used, opt.max_frame_body,
+      FrameVerdict v = NextFrame(data + used, n - used, kDefaultMaxFrameBody,
                                  &body, &body_len, &consumed);
       if (v == FrameVerdict::kNeedMore) break;
       if (v == FrameVerdict::kBadLength) {
@@ -473,8 +477,7 @@ struct KvServer::Worker {
       }
       case kOpScan: {
         st.scans.fetch_add(1, std::memory_order_relaxed);
-        uint32_t limit =
-            std::min(req.scan_limit, server->options_.max_scan_limit);
+        uint32_t limit = std::min(req.scan_limit, kDefaultMaxScanLimit);
         esc_scratch.clear();
         EscapeKey(req.key, &esc_scratch);
         ScanReplyBuilder builder(&c->out, req.id);
@@ -573,9 +576,8 @@ struct KvServer::Worker {
   // Backpressure: drop EPOLLIN while the reply backlog is above the high
   // watermark, restore it once the flush brings it under the low one.
   void MaybePause(Conn* c) {
-    const ServerOptions& opt = server->options_;
-    bool should_pause = c->pending_out() > opt.high_watermark;
-    bool should_resume = c->pending_out() < opt.low_watermark;
+    bool should_pause = c->pending_out() > kHighWatermark;
+    bool should_resume = c->pending_out() < kLowWatermark;
     if (!c->paused && should_pause) {
       c->paused = true;
       UpdateEpoll(c);

@@ -18,11 +18,10 @@
 // Replies therefore complete out of request order; the protocol's request
 // ids are what lets clients cope (net/protocol.h).
 //
-// Backpressure: a connection whose pending reply bytes exceed
-// `high_watermark` stops being read (EPOLLIN dropped) until its output
-// drains below `low_watermark` — a slow reader stalls itself, not the
-// worker, and its unread requests stay in the kernel socket buffer where
-// TCP flow control pushes back on the sender.
+// Backpressure: a connection whose pending reply bytes exceed 4 MiB stops
+// being read (EPOLLIN dropped) until its output drains below 1 MiB — a slow
+// reader stalls itself, not the worker, and its unread requests stay in the
+// kernel socket buffer where TCP flow control pushes back on the sender.
 
 #ifndef HOT_NET_SERVER_H_
 #define HOT_NET_SERVER_H_
@@ -50,11 +49,6 @@ struct ServerOptions {
   uint16_t port = 0;  // 0 = ephemeral; see KvServer::port() after Start
   unsigned workers = 1;
   bool force_scalar = false;  // scalar-drain mode (bench baseline)
-  // Framing / resource limits.
-  size_t max_frame_body = kDefaultMaxFrameBody;
-  uint32_t max_scan_limit = kDefaultMaxScanLimit;
-  size_t high_watermark = 4u << 20;  // pause reading above this many
-  size_t low_watermark = 1u << 20;   // pending reply bytes; resume below
 
   // Durability (src/persist, DESIGN.md §13).  Empty data_dir = volatile
   // server (no WAL, no snapshots, no recovery) — the pre-§13 behavior.

@@ -25,8 +25,6 @@
 #ifndef HOT_OBS_TELEMETRY_H_
 #define HOT_OBS_TELEMETRY_H_
 
-#include <algorithm>
-#include <concepts>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -66,13 +64,6 @@ struct TelemetrySnapshot {
   uint64_t pool_carves = 0;  // allocations bump-carved from an arena chunk
   uint64_t pool_steals = 0;  // hits whose blocks came from a sibling stripe
 
-  // Range-sharded wrappers (ycsb/range_sharded.h): the shard layout this
-  // snapshot was folded over.  Zero `shards` means a single-tree index.
-  uint64_t shards = 0;
-  uint64_t empty_shards = 0;       // shards holding no entries (skew signal)
-  uint64_t shard_entries_min = 0;  // smallest / largest shard populations
-  uint64_t shard_entries_max = 0;
-
   // Structure (hot/stats.h census): per-layout node counts, bytes, fill.
   NodeCensus census;
 
@@ -100,11 +91,6 @@ struct TelemetrySnapshot {
         << " pool_hits=" << pool_hits << " pool_carves=" << pool_carves
         << " pool_steals=" << pool_steals
         << " nodes=" << census.nodes << " fill=" << FillFactor();
-    if (shards != 0) {
-      oss << " shards=" << shards << " empty_shards=" << empty_shards
-          << " shard_min=" << shard_entries_min
-          << " shard_max=" << shard_entries_max;
-    }
     return oss.str();
   }
 };
@@ -140,51 +126,6 @@ TelemetrySnapshot CollectTelemetry(const Trie& trie) {
     s.pool_carves = p.carves;
     s.pool_steals = p.steals;
   }
-  return s;
-}
-
-// Range-sharded wrappers (ycsb/range_sharded.h): one snapshot folded over
-// every shard — counters and the node census sum, the shard-population
-// extrema expose partitioning skew.  More constrained than the generic
-// overload above, so wrapper types land here.  Quiescent-only, like every
-// census walk.
-template <typename Wrapper>
-  requires requires(const Wrapper& w) {
-    { w.shard_count() } -> std::convertible_to<unsigned>;
-    w.ForEachShard([](const auto&) {});
-  }
-TelemetrySnapshot CollectTelemetry(const Wrapper& wrapper) {
-  TelemetrySnapshot s;
-  s.shards = wrapper.shard_count();
-  uint64_t min_entries = ~uint64_t{0};
-  wrapper.ForEachShard([&](const auto& shard) {
-    TelemetrySnapshot t = CollectTelemetry(shard);
-    s.writer_restarts += t.writer_restarts;
-    s.cow_replacements += t.cow_replacements;
-    s.leaf_pushdowns += t.leaf_pushdowns;
-    s.fast_splices += t.fast_splices;
-    s.nodes_retired += t.nodes_retired;
-    s.nodes_reclaimed += t.nodes_reclaimed;
-    s.retire_backlog += t.retire_backlog;
-    s.global_epoch = std::max(s.global_epoch, t.global_epoch);
-    s.reclamation_lag = std::max(s.reclamation_lag, t.reclamation_lag);
-    s.pool_hits += t.pool_hits;
-    s.pool_carves += t.pool_carves;
-    s.pool_steals += t.pool_steals;
-    for (size_t i = 0; i < kNumNodeTypes; ++i) {
-      s.census.count_by_type[i] += t.census.count_by_type[i];
-      s.census.bytes_by_type[i] += t.census.bytes_by_type[i];
-      s.census.entries_by_type[i] += t.census.entries_by_type[i];
-    }
-    s.census.nodes += t.census.nodes;
-    s.census.total_bytes += t.census.total_bytes;
-    s.census.total_entries += t.census.total_entries;
-    uint64_t entries = shard.size();
-    if (entries == 0) ++s.empty_shards;
-    min_entries = std::min(min_entries, entries);
-    s.shard_entries_max = std::max(s.shard_entries_max, entries);
-  });
-  s.shard_entries_min = s.shards == 0 ? 0 : min_entries;
   return s;
 }
 

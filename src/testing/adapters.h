@@ -67,16 +67,6 @@ concept HasCheckStructure = requires(const T& t, std::string* err) {
   { t.CheckStructure(err) } -> std::convertible_to<bool>;
 };
 
-// Range-partitioned wrappers (ycsb/range_sharded.h) expose their shards in
-// key order; the deep audit recurses into each shard, and the telemetry
-// fold sums per-shard snapshots.
-template <typename T>
-concept HasShards = requires(const T& t, unsigned s) {
-  { t.shard_count() } -> std::convertible_to<unsigned>;
-  { t.shard_size(s) } -> std::convertible_to<size_t>;
-  t.ForEachShard([](const auto&) {});
-};
-
 // --- uniform wrappers ------------------------------------------------------
 
 // Upsert semantics on indexes without Upsert: the stored value is determined

@@ -42,16 +42,9 @@
 #include "testing/adapters.h"
 #include "testing/audit.h"
 #include "testing/trace.h"
-#include "ycsb/range_sharded.h"
 
 namespace hot {
 namespace testing {
-
-// Range-sharded wrapper under differential test: splitter-routed shards of
-// HOT tries, so traces exercise cross-shard ordered scans against the
-// single-tree Patricia oracle.
-template <typename Ex>
-using RangeShardedHot = ycsb::RangeShardedIndex<HotTrie<Ex>, Ex>;
 
 struct DiffOptions {
   bool deep_audit = true;    // run audit.h / CheckStructure at audit ops
@@ -73,10 +66,9 @@ struct DiffResult {
   }
 };
 
-// The index-under-test kinds: the five single-tree indexes plus the
-// range-sharded HOT wrapper (16 default shards, cross-shard scans).
-inline constexpr const char* kIndexNames[] = {
-    "hot", "rowex", "art", "masstree", "btree", "hot-rs"};
+// The index-under-test kinds.
+inline constexpr const char* kIndexNames[] = {"hot", "rowex", "art",
+                                              "masstree", "btree"};
 inline constexpr unsigned kNumIndexes = std::size(kIndexNames);
 
 namespace detail {
@@ -402,97 +394,6 @@ class TraceRunner {
           }
         }
       }
-    } else if constexpr (HasShards<Index>) {
-      // Per-shard structural audit of a range-sharded wrapper.  The shards
-      // partition the key space in order, so concatenating their in-order
-      // leaf walks in shard order reproduces the global key order and can
-      // be zipped against the single Patricia oracle.  The height bound
-      // also survives partitioning: a shard's trie is built over a SUBSET
-      // of the oracle's keys, and inserting keys into a Patricia trie never
-      // makes an existing leaf shallower, so
-      //   shard compound depth <= shard BiNode depth <= global BiNode depth.
-      using Shard = typename Index::ShardType;
-      if constexpr (HasRootEntry<Shard>) {
-        AuditStats total{};
-        std::vector<std::pair<unsigned, uint64_t>> hot_leaves;
-        hot_leaves.reserve(index_.size());
-        bool ok = true;
-        unsigned shard_no = 0;
-        index_.ForEachShard([&](const Shard& shard) {
-          if (!ok) return;
-          AuditStats stats{};
-          std::string aerr;
-          if (!AuditHotTree(shard.root_entry(), shard.extractor(),
-                            shard.size(), &stats, &aerr)) {
-            oss << "audit structural (shard " << shard_no << "): " << aerr;
-            ok = false;
-            return;
-          }
-          total.nodes += stats.nodes;
-          for (size_t t = 0; t < kNumNodeTypes; ++t) {
-            total.layout_counts[t] += stats.layout_counts[t];
-          }
-          shard.ForEachLeaf([&](unsigned depth, uint64_t value) {
-            hot_leaves.emplace_back(depth, value);
-          });
-          ++shard_no;
-        });
-        if (!ok) return fail();
-        last_audit_ = total;
-        std::vector<std::pair<unsigned, uint64_t>> pat_leaves;
-        pat_leaves.reserve(oracle_.size());
-        oracle_.ForEachLeaf([&](size_t depth, uint64_t value) {
-          pat_leaves.emplace_back(static_cast<unsigned>(depth), value);
-        });
-        if (hot_leaves.size() != pat_leaves.size()) {
-          oss << "audit sharded leaf walk count: shards " << hot_leaves.size()
-              << ", patricia " << pat_leaves.size();
-          return fail();
-        }
-        for (size_t i = 0; i < hot_leaves.size(); ++i) {
-          if (hot_leaves[i].second != pat_leaves[i].second) {
-            oss << "audit sharded leaf walk order diverges at position " << i
-                << " (cross-shard concatenation is not globally ordered)";
-            return fail();
-          }
-          unsigned hot_depth = hot_leaves[i].first;
-          unsigned binodes = pat_leaves[i].first - 1;
-          if (hot_depth > binodes && hot_depth > 1) {
-            oss << "audit sharded height differential: leaf " << i
-                << " under " << hot_depth << " compound nodes but only "
-                << binodes << " global Patricia BiNodes";
-            return fail();
-          }
-        }
-        // Telemetry fold cross-check: the per-shard census sum must agree
-        // with the sum of the structural audits.
-        obs::TelemetrySnapshot snap = obs::CollectTelemetry(index_);
-        if (snap.census.nodes != total.nodes) {
-          oss << "audit sharded census: telemetry fold counts "
-              << snap.census.nodes << " nodes, structural audits count "
-              << total.nodes;
-          return fail();
-        }
-        if (snap.shards != index_.shard_count()) {
-          oss << "audit sharded census: telemetry fold reports "
-              << snap.shards << " shards, wrapper has "
-              << index_.shard_count();
-          return fail();
-        }
-      } else if constexpr (HasCheckStructure<Shard>) {
-        bool ok = true;
-        unsigned shard_no = 0;
-        index_.ForEachShard([&](const Shard& shard) {
-          if (!ok) return;
-          std::string aerr;
-          if (!shard.CheckStructure(&aerr)) {
-            oss << "audit structural (shard " << shard_no << "): " << aerr;
-            ok = false;
-          }
-          ++shard_no;
-        });
-        if (!ok) return fail();
-      }
     } else if constexpr (HasCheckStructure<Index>) {
       std::string aerr;
       if (!index_.CheckStructure(&aerr)) {
@@ -542,7 +443,6 @@ inline DiffResult RunTraceOnIndex(const std::string& index_name,
   if (index_name == "art") return RunTraceOn<ArtTree>(trace, opts);
   if (index_name == "masstree") return RunTraceOn<Masstree>(trace, opts);
   if (index_name == "btree") return RunTraceOn<BTree>(trace, opts);
-  if (index_name == "hot-rs") return RunTraceOn<RangeShardedHot>(trace, opts);
   DiffResult res;
   res.ok = false;
   res.error = "unknown index: " + index_name;

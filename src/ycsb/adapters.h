@@ -23,7 +23,6 @@
 #include "common/key.h"
 #include "common/simd.h"
 #include "ycsb/datasets.h"
-#include "ycsb/range_sharded.h"
 
 namespace hot {
 namespace ycsb {
@@ -39,28 +38,13 @@ concept HasLookupBatch =
       idx.LookupBatch(keys, out);
     };
 
-// Range-sharded wrappers accept data-dependent splitters while empty.  The
-// adapters reshard at construction with equi-depth boundaries sampled from
-// the data set about to be loaded, so skewed key spaces (URLs sharing long
-// "http" prefixes) still spread across shards.
-template <typename Index>
-concept HasReshard = requires(Index& idx, SplitterKeys sk) {
-  idx.Reshard(std::move(sk));
-  { Index::kDefaultShards } -> std::convertible_to<unsigned>;
-};
-
 template <template <typename> class IndexT>
 class StringDataSetAdapter {
  public:
   explicit StringDataSetAdapter(const DataSet* ds)
       : ds_(ds),
         index_(StringTableExtractor(&ds->strings), &counter_),
-        values_(ds->strings.size(), 0) {
-    if constexpr (HasReshard<IndexT<StringTableExtractor>>) {
-      index_.Reshard(SampledSplitters(
-          *ds, IndexT<StringTableExtractor>::kDefaultShards));
-    }
-  }
+        values_(ds->strings.size(), 0) {}
 
   bool InsertRecord(size_t i) { return index_.Insert(i); }
 
@@ -131,12 +115,7 @@ class IntDataSetAdapter {
   explicit IntDataSetAdapter(const DataSet* ds)
       : ds_(ds),
         index_(U64KeyExtractor(), &counter_),
-        values_(ds->ints.size(), 0) {
-    if constexpr (HasReshard<IndexT<U64KeyExtractor>>) {
-      index_.Reshard(
-          SampledSplitters(*ds, IndexT<U64KeyExtractor>::kDefaultShards));
-    }
-  }
+        values_(ds->ints.size(), 0) {}
 
   bool InsertRecord(size_t i) { return index_.Insert(ds_->ints[i]); }
 

@@ -17,7 +17,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "obs/histogram.h"
 #include "obs/perf_counters.h"
 #include "ycsb/datasets.h"
-#include "ycsb/range_sharded.h"
 
 namespace hot {
 namespace ycsb {
@@ -176,29 +174,6 @@ inline std::vector<uint32_t> LoadOrder(size_t n, uint64_t seed) {
     std::swap(order[i - 1], order[rng.NextBounded(i)]);
   }
   return order;
-}
-
-// Thread-affine stream partition: splits `ids` into one stream per thread,
-// sending each id to the owner (OwnerOfShard block partition) of the shard
-// its key routes to, preserving input order within each stream.  Drivers
-// that pre-split their load/lookup streams this way give every worker an
-// exclusive, contiguous slice of the shard space: no two threads ever
-// contend on one shard's lock, and each worker's upper trie levels stay in
-// its own cache.  `shard_of(id)` maps a record id to its shard (typically
-// index.ShardOf over the record's key bytes).
-template <typename ShardOfFn>
-inline std::vector<std::vector<uint32_t>> PartitionIdsByOwner(
-    std::span<const uint32_t> ids, unsigned shards, unsigned threads,
-    ShardOfFn&& shard_of) {
-  assert(shards > 0 && threads > 0);
-  std::vector<std::vector<uint32_t>> streams(threads);
-  for (auto& s : streams) s.reserve(ids.size() / threads + 1);
-  for (uint32_t id : ids) {
-    unsigned shard = shard_of(id);
-    assert(shard < shards);
-    streams[OwnerOfShard(shard, shards, threads)].push_back(id);
-  }
-  return streams;
 }
 
 // Runs load + transaction phase.  The data set must hold at least

@@ -75,9 +75,15 @@ TEST(Bits, BigEndianOrderMatchesLexicographic) {
     StoreBigEndian64(b, rng.Next());
     int memcmp_order = memcmp(a, b, 8);
     uint64_t va = LoadBigEndian64(a), vb = LoadBigEndian64(b);
-    if (memcmp_order < 0) EXPECT_LT(va, vb);
-    if (memcmp_order > 0) EXPECT_GT(va, vb);
-    if (memcmp_order == 0) EXPECT_EQ(va, vb);
+    if (memcmp_order < 0) {
+      EXPECT_LT(va, vb);
+    }
+    if (memcmp_order > 0) {
+      EXPECT_GT(va, vb);
+    }
+    if (memcmp_order == 0) {
+      EXPECT_EQ(va, vb);
+    }
   }
 }
 

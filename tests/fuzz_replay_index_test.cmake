@@ -1,6 +1,6 @@
 # fuzz_replay must refuse an --index that names no index, in every mode that
-# takes one, instead of running nothing and reporting success.  "hybrid" and
-# "rowex-rs" are the names of removed arms.
+# takes one, instead of running nothing and reporting success.  "hybrid",
+# "rowex-rs" and "hot-rs" are the names of removed arms.
 #
 #   cmake -DFUZZ_REPLAY=<path to fuzz_replay> -DWORK_DIR=<dir> -P <this file>
 
@@ -13,7 +13,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "fuzz_replay --record failed (${rc})")
 endif()
 
-foreach(name nosuch hybrid rowex-rs)
+foreach(name nosuch hybrid rowex-rs hot-rs)
   foreach(mode "--replay;${trace}" "--shrink;${trace}" "--long;--rounds;1")
     execute_process(
       COMMAND "${FUZZ_REPLAY}" ${mode} --index ${name}

@@ -48,8 +48,7 @@ size_t SmokeOps() {
 // sparse integers, shared prefixes, engineered multi-mask discriminative
 // bits, and the paper's integer dataset.  `scan_heavy` swaps the default op
 // mix for a YCSB-workload-E-shaped one (scans + lower_bounds dominate, the
-// rest mostly inserts) — on the range-sharded arms this is what drives
-// scans across splitter boundaries.
+// rest mostly inserts).
 void RunSmoke(const char* index_name, bool scan_heavy = false) {
   static const KeySpaceKind kKinds[] = {
       KeySpaceKind::kUniform, KeySpaceKind::kPrefix, KeySpaceKind::kAdvMulti8,
@@ -97,14 +96,6 @@ TEST(FuzzSmoke, Btree) { RunSmoke("btree"); }
 
 // The scan-heavy mix on the trie kv_server scans: same >= 1e6-op budget.
 TEST(FuzzSmoke, RowexScanHeavy) { RunSmoke("rowex", true); }
-
-// Range-sharded wrapper (ycsb/range_sharded.h): same >= 1e6-op budget each.
-// The scan-heavy mix forces cross-shard ScanFrom spillover — uniform byte
-// splitters put the kUniform / kAdvMulti8 / kInteger keyspaces across many
-// shards, while kPrefix collapses into one shard and exercises the
-// single-shard fast path.
-TEST(FuzzSmoke, HotRangeSharded) { RunSmoke("hot-rs"); }
-TEST(FuzzSmoke, HotRangeShardedScanHeavy) { RunSmoke("hot-rs", true); }
 
 // Concurrent ROWEX arm: one writer churns a fixed-seed key set while two
 // readers probe and scan.  Readers check the invariants that hold mid-race

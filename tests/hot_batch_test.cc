@@ -117,51 +117,6 @@ TEST(HotBatchTest, TidOnlyRoot) {
   ExpectBatchMatchesScalar(trie, probes.keys);
 }
 
-// LookupBatchIndexed: only the positions named by `ids` are looked up and
-// written; everything else in `out` is untouched.  Exercised over a sparse
-// non-contiguous id subset and n > the 256-entry inline terminal buffer
-// (the heap-scratch path).
-void ExpectIndexedMatchesScalar(const U64Hot& trie,
-                                const std::vector<KeyRef>& keys,
-                                const std::vector<uint32_t>& ids) {
-  std::vector<std::optional<uint64_t>> out(keys.size(),
-                                           std::optional<uint64_t>(424242));
-  trie.LookupBatchIndexed(keys, ids, out);
-  std::vector<bool> named(keys.size(), false);
-  for (uint32_t id : ids) named[id] = true;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (named[i]) {
-      ASSERT_EQ(out[i], trie.Lookup(keys[i])) << i;
-    } else {
-      ASSERT_EQ(out[i], std::optional<uint64_t>(424242)) << i;
-    }
-  }
-}
-
-TEST(HotBatchTest, IndexedSubsetMatchesScalar) {
-  U64Hot trie;
-  std::vector<uint64_t> present;
-  SplitMix64 rng(17);
-  while (present.size() < 20'000) {
-    uint64_t v = rng.Next() >> 1;
-    if (trie.Insert(v)) present.push_back(v);
-  }
-  U64Probes probes(present, 600, 18);  // > inline terminal buffer
-  std::vector<uint32_t> ids;
-  for (uint32_t i = 0; i < probes.keys.size(); i += 3) ids.push_back(i);
-  ids.push_back(1);  // out-of-order and overlapping ids are fine
-  ExpectIndexedMatchesScalar(trie, probes.keys, ids);
-  // Empty subset: nothing written.
-  ExpectIndexedMatchesScalar(trie, probes.keys, {});
-}
-
-TEST(HotBatchTest, IndexedTidOnlyRoot) {
-  U64Hot trie;
-  trie.Insert(777);
-  U64Probes probes({777}, 8, 19);
-  ExpectIndexedMatchesScalar(trie, probes.keys, {0, 3, 7});
-}
-
 TEST(HotBatchTest, DefaultAndZeroWidth) {
   U64Hot trie;
   std::vector<uint64_t> present;
@@ -244,7 +199,9 @@ TEST(HotBatchTest, LowerBoundBatchMatchesScalar) {
         batched.Next();
         scalar.Next();
         ASSERT_EQ(batched.valid(), scalar.valid());
-        if (scalar.valid()) ASSERT_EQ(batched.value(), scalar.value());
+        if (scalar.valid()) {
+          ASSERT_EQ(batched.value(), scalar.value());
+        }
       }
     }
   }

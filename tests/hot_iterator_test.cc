@@ -113,7 +113,9 @@ TEST_F(IteratorTest, UpperBoundMatchesOracle) {
     auto it = trie_.UpperBound(U64Key(v).ref());
     auto oit = oracle_.upper_bound(v);
     EXPECT_EQ(it.valid(), oit != oracle_.end());
-    if (it.valid()) EXPECT_EQ(it.value(), *oit);
+    if (it.valid()) {
+      EXPECT_EQ(it.value(), *oit);
+    }
   }
 }
 

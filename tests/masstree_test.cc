@@ -35,7 +35,9 @@ TEST(LayerTree, InsertFindRemove) {
   uint64_t prev = 0;
   bool first = true;
   tree.VisitFrom(0, [&](uint64_t k, uint64_t) {
-    if (!first) EXPECT_GT(k, prev);
+    if (!first) {
+      EXPECT_GT(k, prev);
+    }
     prev = k;
     first = false;
     return true;

@@ -1,8 +1,8 @@
 // ycsb/range_sharded.h: splitter routing on the raw key bytes, the
 // cross-shard spillover scan (differentially against an ordered oracle,
 // with starts exactly at / just below / just above every splitter key),
-// empty-shard spillover, resharding rules, the telemetry fold, and an
-// 8-thread mixed-op race (run under TSan in CI).
+// empty-shard spillover, splitter selection, and an 8-thread mixed-op
+// race (run under TSan in CI).
 
 #include "ycsb/range_sharded.h"
 
@@ -22,7 +22,6 @@
 #include "common/key.h"
 #include "common/rng.h"
 #include "hot/trie.h"
-#include "obs/telemetry.h"
 
 namespace hot {
 namespace {
@@ -31,7 +30,6 @@ using ycsb::RangeShardedIndex;
 using ycsb::SampledSplitters;
 using ycsb::SplitterKeys;
 using ycsb::SplittersFromSamples;
-using ycsb::UniformByteSplitters;
 
 using RangeShardedU64 = RangeShardedIndex<HotTrie<U64KeyExtractor>,
                                           U64KeyExtractor>;
@@ -105,18 +103,6 @@ TEST(RangeSharded, SplittersMustBeStrictlyAscending) {
                std::invalid_argument);
 }
 
-TEST(RangeSharded, ReshardRequiresEmptyIndex) {
-  RangeShardedU64 idx;
-  EXPECT_EQ(idx.shard_count(), RangeShardedU64::kDefaultShards);
-  idx.Reshard(SplittersAt({1000}));
-  EXPECT_EQ(idx.shard_count(), 2u);
-  ASSERT_TRUE(idx.Insert(5));
-  EXPECT_THROW(idx.Reshard(SplittersAt({2000})), std::logic_error);
-  ASSERT_TRUE(idx.Remove(U64Key(5).ref()));
-  idx.Reshard(SplittersAt({2000, 3000}));
-  EXPECT_EQ(idx.shard_count(), 3u);
-}
-
 // --- cross-shard ordered scans ---------------------------------------------
 
 TEST(RangeSharded, ScanAtEverySplitterBoundary) {
@@ -188,19 +174,14 @@ void DifferentialMixedOps(RangeShardedU64& idx, uint64_t seed) {
       case 3: {
         auto got = idx.Lookup(U64Key(v).ref());
         ASSERT_EQ(got.has_value(), oracle.count(v) > 0);
-        if (got) ASSERT_EQ(*got, v);
+        if (got) {
+          ASSERT_EQ(*got, v);
+        }
         break;
       }
       case 4:
         ASSERT_EQ(idx.Remove(U64Key(v).ref()), oracle.erase(v) > 0);
         break;
-      case 5: {
-        bool present = oracle.count(v) > 0;
-        auto prev = idx.Upsert(v);
-        ASSERT_EQ(prev.has_value(), present);
-        oracle.insert(v);
-        break;
-      }
       default: {
         size_t limit = 1 + rng.NextBounded(64);
         ASSERT_EQ(IndexScan(idx, v, limit), OracleScan(oracle, v, limit))
@@ -208,7 +189,9 @@ void DifferentialMixedOps(RangeShardedU64& idx, uint64_t seed) {
         break;
       }
     }
-    if (i % 5000 == 0) ASSERT_EQ(idx.size(), oracle.size());
+    if (i % 5000 == 0) {
+      ASSERT_EQ(idx.size(), oracle.size());
+    }
   }
   ASSERT_EQ(idx.size(), oracle.size());
 }
@@ -218,82 +201,10 @@ TEST(RangeSharded, DifferentialMixedOpsLocked) {
   DifferentialMixedOps(idx, 77);
 }
 
-TEST(RangeSharded, LookupBatchMatchesScalar) {
-  RangeShardedU64 idx(SplittersAt({64, 128, 192}), U64KeyExtractor());
-  for (uint64_t v = 0; v < 256; v += 2) ASSERT_TRUE(idx.Insert(v));
-  std::vector<U64Key> storage;
-  storage.reserve(256);
-  std::vector<KeyRef> keys;
-  for (uint64_t v = 0; v < 256; ++v) {  // hits and misses across all shards
-    storage.emplace_back(v);
-    keys.push_back(storage.back().ref());
-  }
-  std::vector<std::optional<uint64_t>> out(keys.size());
-  idx.LookupBatch(std::span<const KeyRef>(keys),
-                  std::span<std::optional<uint64_t>>(out));
-  for (uint64_t v = 0; v < 256; ++v) {
-    ASSERT_EQ(out[v], idx.Lookup(keys[v])) << v;
-    ASSERT_EQ(out[v].has_value(), v % 2 == 0) << v;
-  }
-}
-
-// Scatter-order regression for the scratch-based batched path: out[i] must
-// be written for EVERY input position i — duplicate keys (several ids land
-// in one shard bucket), all keys routing to one shard, and shards whose
-// bucket is empty.  The old vector-of-vectors gather got this right by
-// construction; the counting-sort rewrite has to be pinned.
-TEST(RangeSharded, LookupBatchScatterOrder) {
-  RangeShardedU64 idx(SplittersAt({64, 128, 192}), U64KeyExtractor());
-  for (uint64_t v = 0; v < 256; v += 2) ASSERT_TRUE(idx.Insert(v));
-
-  // Duplicate keys interleaved across shards, in deliberately non-sorted
-  // shard order (shard 3, 0, 3, 1, 0, ...), plus misses.
-  std::vector<uint64_t> probe = {200, 10, 200, 70, 10, 255, 7, 70, 10, 131};
-  std::vector<U64Key> storage;
-  storage.reserve(probe.size());
-  std::vector<KeyRef> keys;
-  for (uint64_t v : probe) {
-    storage.emplace_back(v);
-    keys.push_back(storage.back().ref());
-  }
-  // Poison the output so an unwritten position is caught.
-  std::vector<std::optional<uint64_t>> out(keys.size(),
-                                           std::optional<uint64_t>(999999));
-  idx.LookupBatch(std::span<const KeyRef>(keys),
-                  std::span<std::optional<uint64_t>>(out));
-  for (size_t i = 0; i < probe.size(); ++i) {
-    if (probe[i] % 2 == 0) {
-      ASSERT_EQ(out[i], std::optional<uint64_t>(probe[i])) << i;
-    } else {
-      ASSERT_EQ(out[i], std::nullopt) << i;
-    }
-  }
-
-  // All keys in one shard; every other shard's bucket is empty.
-  keys.clear();
-  storage.clear();
-  storage.reserve(32);
-  for (uint64_t v = 140; v < 172; ++v) {  // all route to shard 2
-    ASSERT_EQ(idx.ShardOf(U64Key(v).ref()), 2u);
-    storage.emplace_back(v);
-    keys.push_back(storage.back().ref());
-  }
-  out.assign(keys.size(), std::optional<uint64_t>(999999));
-  idx.LookupBatch(std::span<const KeyRef>(keys),
-                  std::span<std::optional<uint64_t>>(out));
-  for (size_t i = 0; i < keys.size(); ++i) {
-    uint64_t v = 140 + i;
-    ASSERT_EQ(out[i], v % 2 == 0 ? std::optional<uint64_t>(v) : std::nullopt)
-        << i;
-  }
-}
-
-// RouteBatch must agree with ShardOf key-for-key, including keys that share
-// their first 8 bytes with a splitter — the prefix64 fast path decides
-// those probes by full byte comparison, not the u64 prefix.
-TEST(RangeSharded, RouteBatchMatchesShardOf) {
-  // Splitters longer than 8 bytes sharing one 8-byte prefix, so every
-  // routing decision among them falls through to the byte comparison.
+// Splitters longer than 8 bytes sharing one 8-byte prefix: every routing
+// decision among them is made past the shared prefix, including for probes
+// that are a prefix of every splitter or equal to one.
+TEST(RangeSharded, ShardOfPastASharedPrefix) {
   auto with_suffix = [](std::initializer_list<uint8_t> suffix) {
     std::vector<uint8_t> k = {'p', 'r', 'e', 'f', 'i', 'x', '!', '!'};
     k.insert(k.end(), suffix);
@@ -320,22 +231,18 @@ TEST(RangeSharded, RouteBatchMatchesShardOf) {
       with_suffix({0x30, 0xff}),              // above splitter 3
       {'z'},                                  // above the prefix entirely
   };
-  std::vector<KeyRef> keys;
-  for (const auto& p : probes) keys.emplace_back(p.data(), p.size());
-  std::vector<uint32_t> routed(keys.size());
-  idx.RouteBatch(keys, routed.data());
   const unsigned expected[] = {0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4};
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(routed[i], idx.ShardOf(keys[i])) << i;
-    EXPECT_EQ(routed[i], expected[i]) << i;
+  ASSERT_EQ(std::size(expected), probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(idx.ShardOf(KeyRef(probes[i].data(), probes[i].size())),
+              expected[i])
+        << i;
   }
 }
 
-// ShardOf and RouteBatch (both RouteOne: branch-free lower bound over the
-// 8-byte splitter prefixes, binary search within an equal-prefix run) must
-// equal a brute-force count of splitters <= key.  Checks `probes` plus
-// every splitter, its neighbours one byte longer and shorter, and its
-// 8-byte prefix.
+// ShardOf must equal a brute-force count of splitters <= key.  Checks
+// `probes` plus every splitter, its neighbours one byte longer and
+// shorter, and its 8-byte prefix.
 void ExpectRoutesMatchBruteForce(const SplitterKeys& sk,
                                  std::vector<std::vector<uint8_t>> probes) {
   RangeShardedIndex<HotTrie<StringTableExtractor>, StringTableExtractor> idx(
@@ -349,17 +256,13 @@ void ExpectRoutesMatchBruteForce(const SplitterKeys& sk,
     probes.emplace_back(sp.begin(), sp.end() - 1);
     if (sp.size() > 8) probes.emplace_back(sp.begin(), sp.begin() + 8);
   }
-  std::vector<KeyRef> keys;
-  for (const auto& p : probes) keys.emplace_back(p.data(), p.size());
-  std::vector<uint32_t> routed(keys.size());
-  idx.RouteBatch(keys, routed.data());
-  for (size_t i = 0; i < keys.size(); ++i) {
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const KeyRef key(probes[i].data(), probes[i].size());
     unsigned expect = 0;
     for (const auto& sp : sk) {
-      expect += KeyRef(sp.data(), sp.size()).Compare(keys[i]) <= 0;
+      expect += KeyRef(sp.data(), sp.size()).Compare(key) <= 0;
     }
-    ASSERT_EQ(idx.ShardOf(keys[i]), expect) << "probe " << i;
-    ASSERT_EQ(routed[i], expect) << "probe " << i;
+    ASSERT_EQ(idx.ShardOf(key), expect) << "probe " << i;
   }
 }
 
@@ -448,22 +351,13 @@ TEST(RangeSharded, SampledSplittersBalanceUniformIntegers) {
     EXPECT_GT(idx.shard_size(s), ideal / 3) << "shard " << s;
     EXPECT_LT(idx.shard_size(s), ideal * 3) << "shard " << s;
   }
-  obs::TelemetrySnapshot snap = obs::CollectTelemetry(idx);
-  EXPECT_EQ(snap.shards, idx.shard_count());
-  EXPECT_EQ(snap.empty_shards, 0u);
-  EXPECT_GT(snap.shard_entries_min, 0u);
-  EXPECT_GE(snap.shard_entries_max, snap.shard_entries_min);
-  // The census counts node entries (inner pointers included), so the fold
-  // across shards must cover at least one leaf entry per key.
-  EXPECT_GE(snap.census.total_entries, ds.ints.size());
 }
 
 // Regression for the 64-shard equi-depth bias on skewed string keys: the
 // fixed 4096-key sample left only 64 sample points per boundary gap, and
-// the quantile noise produced a 1.41x max/ideal imbalance on the url set
-// (BENCH_ablation_shards.json, PR 5).  The default now scales the sample
-// with the shard count (>= 256 points per gap); the imbalance must stay
-// within the estimator's noise band.
+// the quantile noise produced a 1.41x max/ideal imbalance on the url set.
+// The sample now scales with the shard count (>= 256 points per gap); the
+// imbalance must stay within the estimator's noise band.
 TEST(RangeSharded, SampledSplittersBalanceUrl64Shards) {
   ycsb::DataSet ds = ycsb::GenerateDataSet(ycsb::DataSetKind::kUrl, 60000);
   constexpr unsigned kShards = 64;
@@ -484,8 +378,6 @@ TEST(RangeSharded, SampledSplittersBalanceUrl64Shards) {
 }
 
 TEST(RangeSharded, SplitterHelpersShapes) {
-  EXPECT_EQ(UniformByteSplitters(1).size(), 0u);
-  EXPECT_EQ(UniformByteSplitters(16).size(), 15u);
   // Duplicate-heavy samples collapse to fewer splitters, never crash: 100
   // copies of one key dedup to a single boundary (two shards), not eight.
   std::vector<std::vector<uint8_t>> same(100, BigEndian(42));
@@ -494,9 +386,9 @@ TEST(RangeSharded, SplitterHelpersShapes) {
 
 // --- concurrency -----------------------------------------------------------
 
-// 8 threads of mixed inserts / lookups / removes / upserts / cross-shard
-// scans.  Under TSan this is the data-race check for the per-shard lock
-// path; unconditionally it checks that no operation is lost and every scan
+// 8 threads of mixed inserts / lookups / removes / cross-shard scans.
+// Under TSan this is the data-race check for the per-shard lock path;
+// unconditionally it checks that no operation is lost and every scan
 // result is globally ordered: under the per-shard lock each shard scan is
 // atomic, so results must be strictly increasing even across shards
 // (partitioning bounds every shard's keys by its splitters).
@@ -521,7 +413,8 @@ TEST(RangeSharded, ConcurrentMixedOpsLocked) {
   threads.clear();
   ASSERT_EQ(idx.size(), kTotal);
 
-  // Phase 2: mixed readers, scanners, removers (odd keys), upserters.
+  // Phase 2: mixed readers, scanners, removers and re-inserters (both on
+  // odd keys, so they race on the same keys).
   std::atomic<uint64_t> scanned{0};
   for (unsigned t = 0; t < kThreads; ++t) {
     threads.emplace_back([&idx, &scanned, t] {
@@ -537,7 +430,9 @@ TEST(RangeSharded, ConcurrentMixedOpsLocked) {
             bool first = true;
             U64Key k(v);
             size_t n = idx.ScanFrom(k.ref(), 128, [&](uint64_t got) {
-              if (!first) ASSERT_GT(got, prev);
+              if (!first) {
+                ASSERT_GT(got, prev);
+              }
               prev = got;
               first = false;
             });
@@ -549,7 +444,7 @@ TEST(RangeSharded, ConcurrentMixedOpsLocked) {
             if (v % 2 == 1) idx.Remove(U64Key(v).ref());
             break;
           case 3:
-            if (v % 2 == 0) idx.Upsert(v);
+            if (v % 2 == 1) idx.Insert(v);
             break;
         }
       }
@@ -558,8 +453,7 @@ TEST(RangeSharded, ConcurrentMixedOpsLocked) {
   for (auto& th : threads) th.join();
   EXPECT_GT(scanned.load(), 0u);
 
-  // Every even key survived: only odd keys were removed, upserts of even
-  // keys are idempotent here.
+  // Every even key survived: only odd keys were removed and re-inserted.
   for (uint64_t v = 0; v < kTotal; v += 2) {
     auto got = idx.Lookup(U64Key(v).ref());
     ASSERT_TRUE(got.has_value()) << v;

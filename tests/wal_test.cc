@@ -161,7 +161,9 @@ TEST(Wal, TornTailEveryTruncationOffset) {
     EXPECT_EQ(rr.valid_end, expect_end) << "offset " << x;
     EXPECT_EQ(rr.torn, x != expect_end) << "offset " << x;
     EXPECT_EQ(read.size(), expect_frames);
-    if (expect_frames > 0) EXPECT_EQ(rr.last_lsn, expect_frames);
+    if (expect_frames > 0) {
+      EXPECT_EQ(rr.last_lsn, expect_frames);
+    }
   }
   ::unlink(cut.c_str());
 }

@@ -182,21 +182,6 @@ TEST(Driver, AllIndexesAllWorkloadsInteger) {
   SmokeRun<IntDataSetAdapter<Masstree>>(ds);
 }
 
-// Range-sharded wrappers run the full workload matrix, scans of E
-// included, through the same adapters as the raw indexes.
-template <typename Ex>
-using RangeShardedHotOf = RangeShardedIndex<HotTrie<Ex>, Ex>;
-template <typename Ex>
-using RangeShardedBTreeOf = RangeShardedIndex<BTree<Ex>, Ex>;
-
-TEST(Driver, RangeShardedRunsAllWorkloads) {
-  DataSet ints = GenerateDataSet(DataSetKind::kInteger, 30000);
-  SmokeRun<IntDataSetAdapter<RangeShardedHotOf>>(ints);
-  SmokeRun<IntDataSetAdapter<RangeShardedBTreeOf>>(ints);
-  DataSet urls = GenerateDataSet(DataSetKind::kUrl, 30000);
-  SmokeRun<StringDataSetAdapter<RangeShardedHotOf>>(urls);
-}
-
 TEST(Driver, ZipfianRunsAndSkews) {
   DataSet ds = GenerateDataSet(DataSetKind::kYago, 30000);
   IntDataSetAdapter<HotTrie> adapter(&ds);

@@ -7,7 +7,7 @@
 //              [--mix default|scan-heavy|workload-e]
 //       generate a deterministic trace and write it to a file
 //   fuzz_replay --replay in.trace
-//              [--index all|hot|rowex|art|masstree|btree|hot-rs]
+//              [--index all|hot|rowex|art|masstree|btree]
 //       replay a trace file differentially; exit 1 on divergence
 //   fuzz_replay --replay in.trace --net [--scalar]
 //       replay the trace through a LOOPBACK KV SERVER (src/net) instead of
