@@ -14,8 +14,8 @@
 //
 // The driver is shared by the single-threaded HotTrie (plain slot reads)
 // and the ROWEX-synchronized RowexHotTrie (acquire slot loads under one
-// epoch guard per batch) via the slot-load policy parameter, and by both
-// LookupBatch and the lower-bound variant via the per-level hook.
+// epoch guard per batch) via the slot-load policy parameter; both reach it
+// through LookupBatchBelow (hot/trie.h).
 //
 // Width: 8–16 probes saturate the line-fill buffers of current x86 cores
 // (10–16 outstanding L1 misses); beyond that the probe state and the
@@ -52,17 +52,11 @@ struct AcquireSlotLoad {
 
 // Descends every `keys[i]` from `root` to its terminal entry (tid or
 // empty), keeping up to `width` probes in flight; results land in
-// terminal[i].
-//
-// `per_level(key_index, node, slot_index)` is invoked for every (node,
-// chosen slot) a probe passes through, in root-to-leaf order per key —
-// lower-bound callers record the search path there; plain lookups pass a
-// no-op.  `root` must be a node entry (callers handle empty/tid roots,
-// which need no traversal).
-template <typename SlotLoad, typename PerLevel>
+// terminal[i].  `root` must be a node entry (callers handle empty/tid
+// roots, which need no traversal).
+template <typename SlotLoad>
 inline void BatchDescend(uint64_t root, const KeyRef* keys, size_t n,
-                         uint64_t* terminal, unsigned width,
-                         PerLevel&& per_level) {
+                         uint64_t* terminal, unsigned width) {
   assert(HotEntry::IsNode(root));
   if (n == 0) return;
   if (width == 0) width = kDefaultBatchWidth;
@@ -86,7 +80,6 @@ inline void BatchDescend(uint64_t root, const KeyRef* keys, size_t n,
       Probe& pr = probes[s];
       NodeRef node = NodeRef::FromEntry(pr.entry);
       unsigned idx = SearchNode(node, keys[pr.key_idx]);
-      per_level(pr.key_idx, node, idx);
       uint64_t child = SlotLoad::Load(&node.values()[idx]);
       if (HotEntry::IsNode(child)) {
         // Issue the prefetch now; the child's lines load while the driver

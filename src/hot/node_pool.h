@@ -9,9 +9,10 @@
 //
 // Thread layout: the pool is split into kStripes cache-line-padded stripes;
 // a thread operates on stripe CurrentThreadIndex() % kStripes.  Each stripe
-// owns its free lists AND its bump arena, so concurrent writers (the
-// range-sharded arms drive many shards' pools from many threads, ROWEX
-// drives one pool from all of them) neither contend on a shared head nor
+// owns its free lists AND its bump arena, so the threads that share one
+// pool — ROWEX writers, epoch reclamation freeing retired nodes on
+// whichever thread drains limbo, and the parallel bulk build's workers on
+// their pinned stripes — neither contend on a shared head nor
 // false-share adjacent list pointers.  Chunks are malloc'd and
 // first-written by the allocating thread, so with pinned workers the pages
 // land on that worker's NUMA node (first-touch placement).

@@ -1,27 +1,33 @@
-// ROWEX-synchronized HOT (paper §5).
+// ROWEX-synchronized HOT (paper §5): the algorithms of hot/trie.h with §5's
+// protocol around them.  This file adds the protocol only; every descent,
+// the cursor, the insert planner and the node builders are trie.h's, run
+// with acquire slot loads.
 //
 // Readers are wait-free: they never lock, never restart, and may finish a
 // lookup on an obsolete (copy-on-write superseded) node; epoch-based
 // reclamation keeps such nodes alive until no reader can observe them.
 //
 // Writers perform the five steps of Fig. 7:
-//   (a) traverse and determine the affected nodes
-//       - normal insert:        covering node + its parent (slot write)
-//       - leaf-node pushdown:   covering node only (slot write inside it)
+//   (a) traverse and determine the affected nodes (trie.h's InsertPlan, or
+//       the remove descent)
+//       - overwrite, leaf-node pushdown, leaf root: the slot holding the
+//                               leaf (written in place inside its holder)
+//       - normal insert/remove: covering node + its parent (slot write)
 //       - overflow:             the pull-up chain up to the first node with
 //                               space (all copy-on-write replaced) + the
 //                               parent of the last (slot write)
 //   (b) lock them bottom-up (a tree-level lock stands in for the root slot)
 //   (c) validate that none is obsolete and that the links/slots the plan
 //       was computed from are unchanged — otherwise unlock and restart
-//   (d) apply the modification: build replacement nodes copy-on-write,
-//       publish with release stores into the parent slot, mark replaced
-//       nodes obsolete and retire them to the epoch manager
+//   (d) apply the modification: build replacement nodes copy-on-write
+//       (trie.h's builders), publish with release stores into the parent
+//       slot, mark replaced nodes obsolete and retire them to the epoch
+//       manager
 //   (e) unlock top-down.
 //
 // Node contents other than the 64-bit value slots are immutable after
 // publication, so readers only need atomic loads on value slots and on the
-// root.
+// root slot.
 
 #ifndef HOT_HOT_ROWEX_H_
 #define HOT_HOT_ROWEX_H_
@@ -32,40 +38,27 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/epoch.h"
 #include "common/extractors.h"
-#include "hot/batch_lookup.h"
-#include "hot/bulk_load.h"
-#include "hot/fast_insert.h"
 #include "common/key.h"
-#include "hot/logical_node.h"
-#include "hot/node.h"
-#include "hot/node_pool.h"
-#include "hot/node_search.h"
-#include "hot/validate.h"
+#include "hot/trie.h"
 #include "obs/telemetry.h"
 
 namespace hot {
 
 template <typename KeyExtractor>
 class RowexHotTrie {
-  struct PathLevel {
-    NodeRef node;
-    unsigned idx;
-  };
-
  public:
   explicit RowexHotTrie(KeyExtractor extractor = KeyExtractor(),
                         MemoryCounter* counter = nullptr)
-      : extractor_(extractor), alloc_(counter), root_(HotEntry::kEmpty) {}
+      : extractor_(extractor), alloc_(counter) {}
 
   ~RowexHotTrie() {
     epochs_.CollectAll();
-    FreeSubtree(root_.load(std::memory_order_relaxed));
+    FreeSubtree(root_, alloc_);
   }
 
   RowexHotTrie(const RowexHotTrie&) = delete;
@@ -75,19 +68,8 @@ class RowexHotTrie {
 
   std::optional<uint64_t> Lookup(KeyRef key) const {
     EpochGuard guard(&epochs_);
-    uint64_t cur = root_.load(std::memory_order_acquire);
-    while (HotEntry::IsNode(cur)) {
-      PrefetchNode(cur);
-      NodeRef node = NodeRef::FromEntry(cur);
-      unsigned idx = SearchNode(node, key);
-      cur = LoadSlot(&node.values()[idx]);
-    }
-    if (HotEntry::IsEmpty(cur)) return std::nullopt;
-    KeyScratch scratch;
-    if (extractor_(HotEntry::TidPayload(cur), scratch) == key) {
-      return HotEntry::TidPayload(cur);
-    }
-    return std::nullopt;
+    return VerifyTerminal(extractor_,
+                          Descend<AcquireSlotLoad>(LoadSlot(&root_), key), key);
   }
 
   // Batched wait-free point lookups (hot/batch_lookup.h): out[i] =
@@ -100,28 +82,10 @@ class RowexHotTrie {
   void LookupBatch(std::span<const KeyRef> keys,
                    std::span<std::optional<uint64_t>> out,
                    unsigned width = kDefaultBatchWidth) const {
-    assert(out.size() >= keys.size());
-    size_t n = keys.size();
-    if (n == 0) return;
+    if (keys.empty()) return;
     EpochGuard guard(&epochs_);
-    uint64_t root = root_.load(std::memory_order_acquire);
-    if (!HotEntry::IsNode(root)) {
-      for (size_t i = 0; i < n; ++i) out[i] = VerifyTerminal(root, keys[i]);
-      return;
-    }
-    constexpr size_t kInlineTerminals = 256;
-    uint64_t inline_buf[kInlineTerminals];
-    std::vector<uint64_t> heap_buf;
-    uint64_t* terminal = inline_buf;
-    if (n > kInlineTerminals) {
-      heap_buf.resize(n);
-      terminal = heap_buf.data();
-    }
-    BatchDescend<AcquireSlotLoad>(root, keys.data(), n, terminal, width,
-                                  [](uint32_t, NodeRef, unsigned) {});
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = VerifyTerminal(terminal[i], keys[i]);
-    }
+    LookupBatchBelow<AcquireSlotLoad>(LoadSlot(&root_), extractor_, keys, out,
+                                      width);
   }
 
   // Visits up to `limit` values with key >= start in key order.  Wait-free
@@ -130,125 +94,34 @@ class RowexHotTrie {
   template <typename Fn>
   size_t ScanFrom(KeyRef start, size_t limit, Fn&& fn) const {
     EpochGuard guard(&epochs_);
-    PathLevel stack[kMaxDepth];
-    unsigned depth = 0;
-    uint64_t cur = root_.load(std::memory_order_acquire);
-    if (HotEntry::IsEmpty(cur)) return 0;
-
-    if (HotEntry::IsTid(cur)) {
-      KeyScratch scratch;
-      if (extractor_(HotEntry::TidPayload(cur), scratch).Compare(start) >= 0 &&
-          limit > 0) {
-        fn(HotEntry::TidPayload(cur));
-        return 1;
-      }
-      return 0;
-    }
-
-    // Blind descent, then reposition via the mismatch bit (same algorithm
-    // as the single-threaded LowerBound).
-    while (HotEntry::IsNode(cur)) {
-      NodeRef node = NodeRef::FromEntry(cur);
-      unsigned idx = SearchNode(node, start);
-      stack[depth++] = {node, idx};
-      cur = LoadSlot(&node.values()[idx]);
-    }
-    KeyScratch scratch;
-    KeyRef cand = extractor_(HotEntry::TidPayload(cur), scratch);
-    size_t p = FirstMismatchBit(start, cand);
-    bool at_entry = false;
-    if (p == kNoMismatch) {
-      at_entry = true;  // exact hit: current stack position is the start
-    } else {
-      unsigned target = depth - 1;
-      while (target > 0 && RootDiscBit(stack[target].node) > p) --target;
-      LogicalNode ln = DecodeShared(stack[target].node);
-      bool exists;
-      unsigned rank = BitRank(ln, static_cast<unsigned>(p), &exists);
-      AffectedRange range = FindAffectedRange(ln, stack[target].idx, rank);
-      depth = target;
-      NodeRef tnode = stack[target].node;
-      if (start.Bit(p) == 0) {
-        stack[depth++] = {tnode, range.first};
-        cur = DescendEdge(stack, &depth, LoadSlot(&tnode.values()[range.first]),
-                          /*leftmost=*/true);
-        at_entry = true;
-      } else {
-        stack[depth++] = {tnode, range.last};
-        cur = DescendEdge(stack, &depth, LoadSlot(&tnode.values()[range.last]),
-                          /*leftmost=*/false);
-        at_entry = false;  // need the successor of this position
-      }
-    }
-
-    size_t seen = 0;
-    if (at_entry && limit > 0) {
-      fn(HotEntry::TidPayload(cur));
-      ++seen;
-    }
-    while (seen < limit) {
-      // Advance to the next leaf.
-      bool advanced = false;
-      while (depth > 0) {
-        PathLevel& top = stack[depth - 1];
-        if (top.idx + 1 < top.node.count()) {
-          ++top.idx;
-          cur = DescendEdge(stack, &depth,
-                            LoadSlot(&top.node.values()[top.idx]),
-                            /*leftmost=*/true);
-          advanced = true;
-          break;
-        }
-        --depth;
-      }
-      if (!advanced) break;
-      fn(HotEntry::TidPayload(cur));
-      ++seen;
-    }
-    return seen;
+    HotCursor<AcquireSlotLoad> it;
+    it.SeekLowerBound(LoadSlot(&root_), start, extractor_);
+    return it.Scan(limit, fn);
   }
 
   // --- writers ----------------------------------------------------------------
 
   bool Insert(uint64_t value) {
-    for (;;) {
-      EpochGuard guard(&epochs_);
-      int r = TryInsert(value);
-      if (r >= 0) return r != 0;
-      // validation failed: restart
-      telemetry_.writer_restarts.Add();
-    }
+    return !Put(value, /*overwrite=*/false).has_value();
   }
 
   bool Remove(KeyRef key) {
     for (;;) {
       EpochGuard guard(&epochs_);
-      int r = TryRemove(key);
-      if (r >= 0) return r != 0;
+      bool removed;
+      if (TryRemove(key, &removed)) return removed;
       telemetry_.writer_restarts.Add();
     }
   }
 
   // Insert-or-overwrite: stores `value` under its extracted key, replacing
   // any value that currently maps to the same key.  Returns the previous
-  // value if one was replaced.  Overwrites are in-place slot stores under
-  // the owning node's lock (no copy-on-write needed: only the 64-bit value
-  // slot changes, which readers already load atomically).
+  // value if one was replaced.  An overwrite is an in-place store into the
+  // slot the insert's own descent found the key in, under the owning
+  // node's lock (no copy-on-write needed: only the 64-bit value slot
+  // changes, which readers already load atomically).
   std::optional<uint64_t> Upsert(uint64_t value) {
-    for (;;) {
-      EpochGuard guard(&epochs_);
-      int r = TryInsert(value);
-      if (r == 1) return std::nullopt;
-      if (r == 0) {
-        std::optional<uint64_t> prev;
-        int o = TryOverwrite(value, &prev);
-        if (o == 1) return prev;
-        // o == 0: the key vanished between the duplicate detection and the
-        // overwrite (concurrent Remove) — retry as a fresh insert.
-      }
-      // restart
-      telemetry_.writer_restarts.Add();
-    }
+    return Put(value, /*overwrite=*/true);
   }
 
   // Bulk-builds from values sorted ascending by extracted key and
@@ -261,9 +134,8 @@ class RowexHotTrie {
   // served tries through this instead of replaying inserts.
   void BulkLoad(const uint64_t* values, size_t n, unsigned threads = 1) {
     assert(empty() && "BulkLoad requires an empty trie");
-    uint64_t root = detail::ParallelBulkBuild(extractor_, values, n, alloc_,
-                                              threads);
-    root_.store(root, std::memory_order_release);
+    StoreSlot(&root_, detail::ParallelBulkBuild(extractor_, values, n, alloc_,
+                                                threads));
     size_.store(n, std::memory_order_relaxed);
   }
   void BulkLoad(const std::vector<uint64_t>& values, unsigned threads = 1) {
@@ -281,32 +153,27 @@ class RowexHotTrie {
   const obs::RowexCounters& rowex_counters() const { return telemetry_; }
   NodePool::Stats pool_stats() const { return alloc_.stats(); }
 
-  // Quiescent-only introspection (no concurrent writers).
+  // Quiescent-only introspection (no concurrent writers), same contracts
+  // as HotTrie's.
   void ForEachLeaf(
       const std::function<void(unsigned depth, uint64_t value)>& fn) const {
-    LeafRec(root_.load(std::memory_order_acquire), 0, fn);
+    VisitLeaves(LoadSlot(&root_), 0, fn);
   }
-
-  // Visits every compound node with its depth (root nodes have depth 1);
-  // same contract as HotTrie::ForEachNode.  Quiescent-only.
   void ForEachNode(
       const std::function<void(NodeRef, unsigned depth)>& fn) const {
-    NodeRec(root_.load(std::memory_order_acquire), 1, fn);
+    VisitNodes(LoadSlot(&root_), 1, fn);
   }
 
   // Checks every structural invariant of the current tree.  Quiescent-only
   // (the stress tests call this at round barriers); expensive — test/debug
   // use.
   bool Validate(std::string* error) const {
-    return ValidateHotTree(root_.load(std::memory_order_acquire), extractor_,
-                           size(), error);
+    return ValidateHotTree(LoadSlot(&root_), extractor_, size(), error);
   }
 
   // Quiescent-only root snapshot for external checkers (testing/audit.h
   // walks the tree through the same tagged-entry view as validate.h).
-  uint64_t root_entry() const {
-    return root_.load(std::memory_order_acquire);
-  }
+  uint64_t root_entry() const { return LoadSlot(&root_); }
 
   const KeyExtractor& extractor() const { return extractor_; }
 
@@ -314,43 +181,14 @@ class RowexHotTrie {
   static uint64_t LoadSlot(const uint64_t* slot) {
     return AcquireSlotLoad::Load(slot);
   }
-
-  std::optional<uint64_t> VerifyTerminal(uint64_t entry, KeyRef key) const {
-    if (HotEntry::IsEmpty(entry)) return std::nullopt;
-    KeyScratch scratch;
-    if (extractor_(HotEntry::TidPayload(entry), scratch) == key) {
-      return HotEntry::TidPayload(entry);
-    }
-    return std::nullopt;
-  }
   static void StoreSlot(uint64_t* slot, uint64_t value) {
     std::atomic_ref<uint64_t>(*slot).store(value, std::memory_order_release);
   }
 
-  // Decode for read-side use: value slots are loaded atomically.
-  static LogicalNode DecodeShared(NodeRef node) {
-    LogicalNode ln;
-    ln.height = node.height();
-    ln.count = node.count();
-    ln.num_bits = DecodeBitPositions(node, ln.bits);
-    unsigned shift = 32 - ln.num_bits;
-    for (unsigned i = 0; i < ln.count; ++i) {
-      ln.sparse[i] = node.PartialKeyAt(i) << shift;
-      ln.entries[i] = LoadSlot(&node.values()[i]);
-    }
-    return ln;
-  }
-
-  uint64_t DescendEdge(PathLevel* stack, unsigned* depth, uint64_t entry,
-                       bool leftmost) const {
-    while (HotEntry::IsNode(entry)) {
-      NodeRef node = NodeRef::FromEntry(entry);
-      unsigned idx = leftmost ? 0 : node.count() - 1;
-      stack[*depth] = {node, idx};
-      ++*depth;
-      entry = LoadSlot(&node.values()[idx]);
-    }
-    return entry;
+  // The lock guarding SlotAbove(level): the tree-level root lock, or
+  // path[level-1]'s node lock.
+  RowexLockWord& HolderLock(const PathLevel* path, unsigned level) {
+    return level == 0 ? root_lock_ : path[level - 1].node.header()->lock;
   }
 
   void Retire(NodeRef node) {
@@ -379,471 +217,146 @@ class RowexHotTrie {
     NodeType type;
   };
 
-  // Returns 1 inserted, 0 duplicate, -1 restart.
-  int TryInsert(uint64_t value) {
-    KeyScratch scratch;
-    KeyRef key = extractor_(value, scratch);
-    if (key.size() > kMaxKeyBytes) {
-      throw std::invalid_argument("RowexHotTrie: keys longer than 256 bytes");
+  // Steps (b)-(e) for one in-place slot write: stores `entry` over the
+  // terminal entry `leaf` of a descent that passed `depth` nodes (in the
+  // root slot, or in path[depth-1]), if the slot's holder is not obsolete
+  // and the slot still holds `leaf`.  Returns false to restart.
+  bool SwapLeaf(const PathLevel* path, unsigned depth, uint64_t leaf,
+                uint64_t entry) {
+    RowexLockWord& holder = HolderLock(path, depth);
+    uint64_t* slot = SlotAbove(&root_, path, depth);
+    holder.Lock();
+    bool ok = !holder.IsObsolete() && LoadSlot(slot) == leaf;
+    if (ok) StoreSlot(slot, entry);
+    holder.Unlock();
+    return ok;
+  }
+
+  // Steps (b) and (c) for replacing path[top..last] copy-on-write: locks
+  // them bottom-up, then the holder of the slot above path[top], and
+  // validates that none is obsolete and that every link from that slot
+  // down to path[last] is unchanged.  On failure unlocks and returns false.
+  bool LockChain(const PathLevel* path, unsigned top, unsigned last) {
+    for (unsigned l = last + 1; l-- > top;) path[l].node.header()->lock.Lock();
+    RowexLockWord& holder = HolderLock(path, top);
+    holder.Lock();
+    bool ok = !holder.IsObsolete();
+    for (unsigned l = top; l <= last && ok; ++l) {
+      ok = !path[l].node.header()->lock.IsObsolete() &&
+           LoadSlot(SlotAbove(&root_, path, l)) == path[l].node.ToEntry();
     }
-    if ((value >> 63) != 0) {
-      throw std::invalid_argument("RowexHotTrie: values must be 63-bit");
+    if (!ok) UnlockChain(path, top, last);
+    return ok;
+  }
+
+  // Step (e): unlocks top-down (obsolete nodes' locks are dead anyway).
+  void UnlockChain(const PathLevel* path, unsigned top, unsigned last) {
+    HolderLock(path, top).Unlock();
+    for (unsigned l = top; l <= last; ++l) path[l].node.header()->lock.Unlock();
+  }
+
+  // Step (d) once the replacement is built: marks path[top..last] obsolete,
+  // publishes `entry` into the slot above path[top], then retires them.
+  // Publication comes before Retire, which may fail to allocate its
+  // context: that leaks a replaced node at worst, while an obsolete node
+  // left reachable would make every writer validating against it restart
+  // forever.
+  void Publish(const PathLevel* path, unsigned top, unsigned last,
+               uint64_t entry) {
+    for (unsigned l = top; l <= last; ++l) {
+      path[l].node.header()->lock.MarkObsolete();
     }
-    uint64_t root = root_.load(std::memory_order_acquire);
+    StoreSlot(SlotAbove(&root_, path, top), entry);
+    for (unsigned l = top; l <= last; ++l) Retire(path[l].node);
+    telemetry_.cow_replacements.Add(last - top + 1);
+  }
 
-    if (!HotEntry::IsNode(root)) {
-      root_lock_.Lock();
-      if (root_.load(std::memory_order_relaxed) != root) {
-        root_lock_.Unlock();
-        return -1;
-      }
-      int result = 1;
-      if (HotEntry::IsEmpty(root)) {
-        root_.store(HotEntry::MakeTid(value), std::memory_order_release);
-      } else {
-        KeyScratch existing_scratch;
-        KeyRef existing =
-            extractor_(HotEntry::TidPayload(root), existing_scratch);
-        size_t p = FirstMismatchBit(key, existing);
-        if (p == kNoMismatch) {
-          result = 0;
-        } else {
-          uint64_t tid = HotEntry::MakeTid(value);
-          LogicalNode two = key.Bit(p) ? MakeTwoEntryNode(p, root, tid, 1)
-                                       : MakeTwoEntryNode(p, tid, root, 1);
-          uint64_t entry;
-          try {
-            entry = Encode(two, alloc_).ToEntry();
-          } catch (...) {
-            // Allocation failed before anything was published: the tree is
-            // untouched, just release the lock.
-            root_lock_.Unlock();
-            throw;
-          }
-          root_.store(entry, std::memory_order_release);
-        }
-      }
-      root_lock_.Unlock();
-      if (result == 1) size_.fetch_add(1, std::memory_order_relaxed);
-      return result;
-    }
-
-    // (a) traverse.
-    PathLevel path[kMaxDepth];
-    unsigned depth = 0;
-    uint64_t cur = root;
-    while (HotEntry::IsNode(cur)) {
-      PrefetchNode(cur);
-      NodeRef node = NodeRef::FromEntry(cur);
-      unsigned idx = SearchNode(node, key);
-      path[depth++] = {node, idx};
-      cur = LoadSlot(&node.values()[idx]);
-    }
-    KeyScratch existing_scratch;
-    KeyRef existing = extractor_(HotEntry::TidPayload(cur), existing_scratch);
-    size_t p = FirstMismatchBit(key, existing);
-    if (p == kNoMismatch) return 0;
-    unsigned key_bit = key.Bit(p);
-    uint64_t tid = HotEntry::MakeTid(value);
-
-    unsigned target = depth - 1;
-    while (target > 0 && RootDiscBit(path[target].node) > p) --target;
-
-    // Classify: pushdown needs the affected range, which is immutable node
-    // metadata (masks/partial keys), safe to read unlocked.
-    LogicalNode probe = DecodeShared(path[target].node);
-    bool exists;
-    unsigned rank = BitRank(probe, static_cast<unsigned>(p), &exists);
-    AffectedRange range = FindAffectedRange(probe, path[target].idx, rank);
-    bool pushdown = range.first == range.last &&
-                    HotEntry::IsTid(probe.entries[range.first]) &&
-                    probe.height > 1;
-
-    if (pushdown) {
-      NodeRef tnode = path[target].node;
-      tnode.header()->lock.Lock();
-      uint64_t* slot = &tnode.values()[range.first];
-      uint64_t old_leaf = probe.entries[range.first];
-      if (tnode.header()->lock.IsObsolete() || LoadSlot(slot) != old_leaf) {
-        tnode.header()->lock.Unlock();
-        return -1;
-      }
-      LogicalNode two = key_bit ? MakeTwoEntryNode(p, old_leaf, tid, 1)
-                                : MakeTwoEntryNode(p, tid, old_leaf, 1);
-      uint64_t entry;
-      try {
-        entry = Encode(two, alloc_).ToEntry();
-      } catch (...) {
-        tnode.header()->lock.Unlock();
-        throw;
-      }
-      StoreSlot(slot, entry);
-      tnode.header()->lock.Unlock();
-      telemetry_.leaf_pushdowns.Add();
-      size_.fetch_add(1, std::memory_order_relaxed);
-      return 1;
-    }
-
-    // Plan the copy-on-write chain: [target .. cow_top] are replaced, the
-    // slot written lives in cow_top's parent (or the root slot).
-    unsigned cow_top = target;
+  // Inserts `value` if its key is absent.  Otherwise returns the stored
+  // value, and overwrites it when `overwrite`.
+  std::optional<uint64_t> Put(uint64_t value, bool overwrite) {
     for (;;) {
-      if (path[cow_top].node.count() < kMaxFanout) break;  // absorbs here
-      if (cow_top == 0) break;                             // root grows
-      unsigned h = path[cow_top].node.height();
-      unsigned ph = path[cow_top - 1].node.height();
-      if (h + 1 == ph) {
-        --cow_top;  // parent pull-up continues the chain
-        continue;
-      }
-      break;  // intermediate node creation terminates the chain
+      EpochGuard guard(&epochs_);
+      std::optional<uint64_t> prev;
+      if (TryPut(value, overwrite, &prev)) return prev;
+      telemetry_.writer_restarts.Add();
     }
-    // NOTE: cow_top found by the same conditions HandleOverflowLocked will
-    // re-derive; they agree because counts/heights are immutable per node.
+  }
 
-    // (b) lock bottom-up: target .. cow_top, then the slot holder.
-    bool root_slot = cow_top == 0;
-    for (unsigned lvl = target + 1; lvl-- > cow_top;) {
-      path[lvl].node.header()->lock.Lock();
+  // One attempt of Put; returns false to restart.
+  bool TryPut(uint64_t value, bool overwrite, std::optional<uint64_t>* prev) {
+    KeyScratch scratch;
+    KeyRef key = InsertKey(extractor_, value, scratch);
+    uint64_t tid = HotEntry::MakeTid(value);
+    // (a) traverse and plan.
+    InsertPlan plan;
+    if (!PlanInsert<AcquireSlotLoad>(LoadSlot(&root_), key, extractor_,
+                                     &plan)) {
+      *prev = HotEntry::TidPayload(plan.leaf);
+      return !overwrite || SwapLeaf(plan.path, plan.depth, plan.leaf, tid);
     }
-    if (root_slot) {
-      root_lock_.Lock();
+    if (plan.pushdown) {
+      // The new leaf pair is built before locking; a failed validation
+      // frees it unpublished.
+      uint64_t entry = BuildPushdown(plan, tid, alloc_);
+      if (!SwapLeaf(plan.path, plan.depth, plan.leaf, entry)) {
+        if (HotEntry::IsNode(entry)) {
+          FreeNode(alloc_, NodeRef::FromEntry(entry));
+        }
+        return false;
+      }
+      if (plan.depth > 0) telemetry_.leaf_pushdowns.Add();
     } else {
-      path[cow_top - 1].node.header()->lock.Lock();
-    }
-
-    auto unlock_all = [&] {
-      if (root_slot) {
-        root_lock_.Unlock();
-      } else {
-        path[cow_top - 1].node.header()->lock.Unlock();
-      }
-      for (unsigned lvl = cow_top; lvl <= target; ++lvl) {
-        path[lvl].node.header()->lock.Unlock();
-      }
-    };
-
-    // (c) validate.
-    bool ok = true;
-    for (unsigned lvl = cow_top; lvl <= target && ok; ++lvl) {
-      ok = !path[lvl].node.header()->lock.IsObsolete();
-    }
-    if (ok && !root_slot) {
-      ok = !path[cow_top - 1].node.header()->lock.IsObsolete();
-    }
-    // Links: slot-holder -> cow_top -> ... -> target.
-    if (ok && root_slot) {
-      ok = root_.load(std::memory_order_acquire) == path[0].node.ToEntry();
-    }
-    if (ok && !root_slot) {
-      ok = LoadSlot(&path[cow_top - 1].node.values()[path[cow_top - 1].idx]) ==
-           path[cow_top].node.ToEntry();
-    }
-    for (unsigned lvl = cow_top; lvl < target && ok; ++lvl) {
-      ok = LoadSlot(&path[lvl].node.values()[path[lvl].idx]) ==
-           path[lvl + 1].node.ToEntry();
-    }
-    if (!ok) {
-      unlock_all();
-      return -1;
-    }
-
-    // (d) modify.  Common case first: the §4.4 physical splice (no layout
-    // change, no overflow) — the node is locked, so its value slots are
-    // stable and plain reads inside TryPhysicalInsert are safe.
-    if (cow_top == target && path[target].node.count() < kMaxFanout) {
-      PhysicalInsertInfo info{rank, exists, range.first, range.last};
-      uint64_t fast;
+      if (!LockChain(plan.path, plan.top, plan.target)) return false;
+      // (d) The nodes are locked, so their value slots are stable and the
+      // builder's plain reads are safe.
+      Replacement r;
       try {
-        fast = TryPhysicalInsert(path[target].node, info,
-                                 static_cast<unsigned>(p), key_bit, tid,
-                                 alloc_);
+        r = BuildInsert(plan, tid, alloc_);
       } catch (...) {
-        // The replacement node was never allocated; nothing was published
-        // or marked obsolete, so unlocking restores the pre-insert state.
-        unlock_all();
+        // Nothing was published or marked obsolete: unlocking restores the
+        // pre-insert state.
+        UnlockChain(plan.path, plan.top, plan.target);
         throw;
       }
-      if (fast != HotEntry::kEmpty) {
-        // Publish before Retire: Retire heap-allocates its context, and a
-        // throw after publication at worst leaks the replaced node, while a
-        // throw before it would leave an obsolete node reachable (writers
-        // validating against it would restart forever).
-        path[target].node.header()->lock.MarkObsolete();
-        if (root_slot) {
-          root_.store(fast, std::memory_order_release);
-        } else {
-          StoreSlot(&path[cow_top - 1].node.values()[path[cow_top - 1].idx],
-                    fast);
-        }
-        Retire(path[target].node);
-        unlock_all();
-        telemetry_.fast_splices.Add();
-        telemetry_.cow_replacements.Add();
-        size_.fetch_add(1, std::memory_order_relaxed);
-        return 1;
-      }
+      Publish(plan.path, plan.top, plan.target, r.entry);
+      UnlockChain(plan.path, plan.top, plan.target);
+      if (r.spliced) telemetry_.fast_splices.Add();
     }
-
-    // General path: logical insert, then resolve overflow along the locked
-    // chain.  Publication is a single release store into the slot holder.
-    // Every freshly encoded node is tracked so an allocation failure can
-    // free the unpublished partial chain and leave the tree untouched
-    // (each chain level encodes at most two halves plus one final node).
-    uint64_t fresh[2 * kMaxDepth + 2];
-    unsigned n_fresh = 0;
-    auto encode_fresh = [&](LogicalNode& n) {
-      uint64_t e = Encode(n, alloc_).ToEntry();
-      fresh[n_fresh++] = e;
-      return e;
-    };
-    auto encode_half_fresh = [&](LogicalNode& half) {
-      return half.count == 1 ? half.entries[0] : encode_fresh(half);
-    };
-
-    LogicalNode ln = Decode(path[target].node);
-    LogicalInsert(ln, path[target].idx, static_cast<unsigned>(p), key_bit,
-                  tid);
-    unsigned level = target;
-    uint64_t publish;
-    try {
-      for (;;) {
-        if (ln.count <= kMaxFanout) {
-          publish = encode_fresh(ln);
-          break;
-        }
-        SplitResult split = Split(ln);
-        uint64_t left_entry = encode_half_fresh(split.left);
-        uint64_t right_entry = encode_half_fresh(split.right);
-        unsigned h =
-            1 + std::max(EntryHeight(left_entry), EntryHeight(right_entry));
-        if (level == 0) {
-          LogicalNode new_root =
-              MakeTwoEntryNode(split.bit_pos, left_entry, right_entry, h);
-          publish = encode_fresh(new_root);
-          break;
-        }
-        if (ln.height + 1 == path[level - 1].node.height()) {
-          LogicalNode pl = Decode(path[level - 1].node);
-          ReplaceEntryWithTwo(pl, path[level - 1].idx, split.bit_pos,
-                              left_entry, right_entry);
-          ln = pl;
-          --level;
-          continue;
-        }
-        LogicalNode intermediate =
-            MakeTwoEntryNode(split.bit_pos, left_entry, right_entry, h);
-        publish = encode_fresh(intermediate);
-        break;
-      }
-    } catch (...) {
-      // Nothing built here was published and no node was marked obsolete:
-      // free the partial replacement chain (FreeNode is per-node, so shared
-      // non-fresh children are untouched) and restore the pre-insert state.
-      for (unsigned i = 0; i < n_fresh; ++i) {
-        FreeNode(alloc_, NodeRef::FromEntry(fresh[i]));
-      }
-      unlock_all();
-      throw;
-    }
-    assert(level == cow_top);
-
-    // Mark every replaced node obsolete, publish, then retire the replaced
-    // chain (publication first — see the fast path above).
-    for (unsigned lvl = cow_top; lvl <= target; ++lvl) {
-      path[lvl].node.header()->lock.MarkObsolete();
-    }
-    if (root_slot) {
-      root_.store(publish, std::memory_order_release);
-    } else {
-      StoreSlot(&path[cow_top - 1].node.values()[path[cow_top - 1].idx],
-                publish);
-    }
-    for (unsigned lvl = cow_top; lvl <= target; ++lvl) {
-      Retire(path[lvl].node);
-    }
-    telemetry_.cow_replacements.Add(target - cow_top + 1);
-
-    // (e) unlock (top-down order; obsolete nodes' locks are dead anyway).
-    unlock_all();
     size_.fetch_add(1, std::memory_order_relaxed);
-    return 1;
+    return true;
   }
 
-  // Returns 1 overwritten (previous value in *prev), 0 key not found,
-  // -1 restart.  Called by Upsert after TryInsert reported a duplicate.
-  int TryOverwrite(uint64_t value, std::optional<uint64_t>* prev) {
-    KeyScratch scratch;
-    KeyRef key = extractor_(value, scratch);
-    uint64_t root = root_.load(std::memory_order_acquire);
-    if (HotEntry::IsEmpty(root)) return 0;
-
-    if (HotEntry::IsTid(root)) {
-      KeyScratch existing_scratch;
-      if (!(extractor_(HotEntry::TidPayload(root), existing_scratch) == key)) {
-        return 0;
-      }
-      root_lock_.Lock();
-      bool same = root_.load(std::memory_order_relaxed) == root;
-      if (same) {
-        root_.store(HotEntry::MakeTid(value), std::memory_order_release);
-      }
-      root_lock_.Unlock();
-      if (!same) return -1;
-      *prev = HotEntry::TidPayload(root);
-      return 1;
-    }
-
-    NodeRef node;
-    unsigned idx = 0;
-    uint64_t cur = root;
-    while (HotEntry::IsNode(cur)) {
-      PrefetchNode(cur);
-      node = NodeRef::FromEntry(cur);
-      idx = SearchNode(node, key);
-      cur = LoadSlot(&node.values()[idx]);
-    }
-    KeyScratch existing_scratch;
-    if (HotEntry::IsEmpty(cur) ||
-        !(extractor_(HotEntry::TidPayload(cur), existing_scratch) == key)) {
-      return 0;
-    }
-
-    node.header()->lock.Lock();
-    uint64_t* slot = &node.values()[idx];
-    // A changed slot covers both a concurrent value change and a pushdown
-    // that replaced the leaf with a node; obsolete means the whole node was
-    // superseded copy-on-write.
-    if (node.header()->lock.IsObsolete() || LoadSlot(slot) != cur) {
-      node.header()->lock.Unlock();
-      return -1;
-    }
-    StoreSlot(slot, HotEntry::MakeTid(value));
-    node.header()->lock.Unlock();
-    *prev = HotEntry::TidPayload(cur);
-    return 1;
-  }
-
-  // Returns 1 removed, 0 not found, -1 restart.
-  int TryRemove(KeyRef key) {
-    uint64_t root = root_.load(std::memory_order_acquire);
-    if (HotEntry::IsEmpty(root)) return 0;
-    if (HotEntry::IsTid(root)) {
-      KeyScratch scratch;
-      if (!(extractor_(HotEntry::TidPayload(root), scratch) == key)) return 0;
-      root_lock_.Lock();
-      bool same = root_.load(std::memory_order_relaxed) == root;
-      if (same) root_.store(HotEntry::kEmpty, std::memory_order_release);
-      root_lock_.Unlock();
-      if (!same) return -1;
-      size_.fetch_sub(1, std::memory_order_relaxed);
-      return 1;
-    }
-
+  // One attempt of Remove; returns false to restart.
+  bool TryRemove(KeyRef key, bool* removed) {
     PathLevel path[kMaxDepth];
-    unsigned depth = 0;
-    uint64_t cur = root;
-    while (HotEntry::IsNode(cur)) {
-      NodeRef node = NodeRef::FromEntry(cur);
-      unsigned idx = SearchNode(node, key);
-      path[depth++] = {node, idx};
-      cur = LoadSlot(&node.values()[idx]);
-    }
-    KeyScratch scratch;
-    if (HotEntry::IsEmpty(cur) ||
-        !(extractor_(HotEntry::TidPayload(cur), scratch) == key)) {
-      return 0;
-    }
-
-    unsigned leaf_level = depth - 1;
-    bool root_slot = leaf_level == 0;
-    path[leaf_level].node.header()->lock.Lock();
-    if (root_slot) {
-      root_lock_.Lock();
+    unsigned depth;
+    uint64_t leaf =
+        DescendRecording<AcquireSlotLoad>(LoadSlot(&root_), key, path, &depth);
+    *removed = VerifyTerminal(extractor_, leaf, key).has_value();
+    if (!*removed) return true;
+    if (depth == 0) {
+      if (!SwapLeaf(path, 0, leaf, HotEntry::kEmpty)) return false;
     } else {
-      path[leaf_level - 1].node.header()->lock.Lock();
-    }
-    auto unlock_all = [&] {
-      if (root_slot) {
-        root_lock_.Unlock();
-      } else {
-        path[leaf_level - 1].node.header()->lock.Unlock();
+      // The leaf's owner node is replaced copy-on-write without it.
+      unsigned owner = depth - 1;
+      if (!LockChain(path, owner, owner)) return false;
+      if (LoadSlot(SlotAbove(&root_, path, depth)) != leaf) {
+        UnlockChain(path, owner, owner);
+        return false;
       }
-      path[leaf_level].node.header()->lock.Unlock();
-    };
-
-    bool ok = !path[leaf_level].node.header()->lock.IsObsolete();
-    if (ok && !root_slot) {
-      ok = !path[leaf_level - 1].node.header()->lock.IsObsolete() &&
-           LoadSlot(&path[leaf_level - 1]
-                         .node.values()[path[leaf_level - 1].idx]) ==
-               path[leaf_level].node.ToEntry();
+      uint64_t replacement;
+      try {
+        replacement = BuildRemove(path[owner], alloc_);
+      } catch (...) {
+        // The replacement was never built: unlock and leave the key present.
+        UnlockChain(path, owner, owner);
+        throw;
+      }
+      Publish(path, owner, owner, replacement);
+      UnlockChain(path, owner, owner);
     }
-    if (ok && root_slot) {
-      ok = root_.load(std::memory_order_acquire) == path[0].node.ToEntry();
-    }
-    if (ok) {
-      ok = LoadSlot(&path[leaf_level].node.values()[path[leaf_level].idx]) ==
-           cur;
-    }
-    if (!ok) {
-      unlock_all();
-      return -1;
-    }
-
-    LogicalNode ln = Decode(path[leaf_level].node);
-    RemoveEntry(ln, path[leaf_level].idx);
-    uint64_t replacement;
-    try {
-      replacement =
-          ln.count == 1 ? ln.entries[0] : Encode(ln, alloc_).ToEntry();
-    } catch (...) {
-      // The replacement was never built: unlock and leave the key present.
-      unlock_all();
-      throw;
-    }
-    path[leaf_level].node.header()->lock.MarkObsolete();
-    if (root_slot) {
-      root_.store(replacement, std::memory_order_release);
-    } else {
-      StoreSlot(&path[leaf_level - 1].node.values()[path[leaf_level - 1].idx],
-                replacement);
-    }
-    Retire(path[leaf_level].node);
-    telemetry_.cow_replacements.Add();
-    unlock_all();
     size_.fetch_sub(1, std::memory_order_relaxed);
-    return 1;
-  }
-
-  void NodeRec(uint64_t entry, unsigned depth,
-               const std::function<void(NodeRef, unsigned)>& fn) const {
-    if (!HotEntry::IsNode(entry)) return;
-    NodeRef node = NodeRef::FromEntry(entry);
-    fn(node, depth);
-    for (unsigned i = 0; i < node.count(); ++i) {
-      NodeRec(node.values()[i], depth + 1, fn);
-    }
-  }
-
-  void LeafRec(uint64_t entry, unsigned depth,
-               const std::function<void(unsigned, uint64_t)>& fn) const {
-    if (HotEntry::IsEmpty(entry)) return;
-    if (HotEntry::IsTid(entry)) {
-      fn(depth, HotEntry::TidPayload(entry));
-      return;
-    }
-    NodeRef node = NodeRef::FromEntry(entry);
-    for (unsigned i = 0; i < node.count(); ++i) {
-      LeafRec(node.values()[i], depth + 1, fn);
-    }
-  }
-
-  void FreeSubtree(uint64_t entry) {
-    if (!HotEntry::IsNode(entry)) return;
-    NodeRef node = NodeRef::FromEntry(entry);
-    for (unsigned i = 0; i < node.count(); ++i) FreeSubtree(node.values()[i]);
-    FreeNode(alloc_, node);
+    return true;
   }
 
   KeyExtractor extractor_;
@@ -851,7 +364,7 @@ class RowexHotTrie {
   mutable EpochManager epochs_;
   obs::RowexCounters telemetry_;
   RowexLockWord root_lock_;
-  std::atomic<uint64_t> root_;
+  uint64_t root_ = HotEntry::kEmpty;  // a slot: atomic loads and stores only
   std::atomic<size_t> size_{0};
 };
 

@@ -1,4 +1,5 @@
-// HOT — the Height Optimized Trie, single-threaded variant (paper §3, §4).
+// HOT — the Height Optimized Trie (paper §3, §4): the single-threaded
+// HotTrie, and the one home of HOT's algorithms.
 //
 // The tree is a hierarchy of compound nodes, each a linearized k-constrained
 // binary Patricia trie (k = 32).  The root slot, like every entry slot, is a
@@ -23,6 +24,15 @@
 // height may over-estimate the true subtree height after deletions (heights
 // are not shrunk), which only makes overflow handling slightly more
 // conservative.
+//
+// Every algorithm below is written once and reads child slots through a
+// slot-load policy (hot/batch_lookup.h).  HotTrie runs them with
+// PlainSlotLoad.  RowexHotTrie (hot/rowex.h) runs them with AcquireSlotLoad
+// and adds only §5's protocol: an epoch guard around reads, and lock ->
+// validate -> publish -> retire around the writes that the insert planner
+// and the builders here describe.  Node contents other than the value
+// slots are immutable once a node is published, so slot loads are the only
+// reads the two tries do differently.
 
 #ifndef HOT_HOT_TRIE_H_
 #define HOT_HOT_TRIE_H_
@@ -50,6 +60,468 @@
 
 namespace hot {
 
+// ---------------------------------------------------------------------------
+// Search paths
+// ---------------------------------------------------------------------------
+
+// One level of a root-to-leaf search path: a node and the slot chosen in it.
+struct PathLevel {
+  NodeRef node;
+  unsigned idx;
+};
+
+// The slot that holds path[level]'s node: the chosen slot of path[level-1],
+// or the root slot at level 0.  With level == the path's length it is the
+// slot holding the descent's terminal entry.
+inline uint64_t* SlotAbove(uint64_t* root, const PathLevel* path,
+                           unsigned level) {
+  return level == 0 ? root
+                    : &path[level - 1].node.values()[path[level - 1].idx];
+}
+
+// Descends from `root` to the terminal entry (tid or empty) for `key`.
+template <typename SlotLoad>
+inline uint64_t Descend(uint64_t root, KeyRef key) {
+  uint64_t cur = root;
+  while (HotEntry::IsNode(cur)) {
+    PrefetchNode(cur);
+    NodeRef node = NodeRef::FromEntry(cur);
+    cur = SlotLoad::Load(&node.values()[SearchNode(node, key)]);
+  }
+  return cur;
+}
+
+// The same descent, recording the nodes it passes in path[0..*depth).
+template <typename SlotLoad>
+inline uint64_t DescendRecording(uint64_t root, KeyRef key, PathLevel* path,
+                                 unsigned* depth) {
+  unsigned d = 0;
+  uint64_t cur = root;
+  while (HotEntry::IsNode(cur)) {
+    PrefetchNode(cur);
+    NodeRef node = NodeRef::FromEntry(cur);
+    unsigned idx = SearchNode(node, key);
+    path[d++] = {node, idx};
+    cur = SlotLoad::Load(&node.values()[idx]);
+  }
+  *depth = d;
+  return cur;
+}
+
+// Locates the BiNode that a mismatch at bit `p` hangs below, on a recorded
+// path of `depth` >= 1 nodes.  The covering node is the deepest one whose
+// root BiNode bit is <= p (root bits strictly increase along the path); if
+// even the tree root's bit exceeds p, it is the root node, all of whose
+// entries are then affected.  Fills in p's rank among the covering node's
+// bits and the affected range around its chosen slot (§4.4), both read from
+// the physical masks, and returns the covering node's level.
+inline unsigned LocateMismatch(const PathLevel* path, unsigned depth,
+                               unsigned p, PhysicalInsertInfo* info) {
+  unsigned target = depth - 1;
+  while (target > 0 && RootDiscBit(path[target].node) > p) --target;
+  NodeRef node = path[target].node;
+  PhysicalBitRank(node, p, &info->rank, &info->exists);
+  PhysicalAffectedRange(node, path[target].idx, info->rank, &info->first,
+                        &info->last);
+  return target;
+}
+
+// ---------------------------------------------------------------------------
+// Point reads
+// ---------------------------------------------------------------------------
+
+// Final verification of a terminal entry against the search key (Listing
+// 2 line 7): the Patricia search may return a false positive.
+template <typename KeyExtractor>
+inline std::optional<uint64_t> VerifyTerminal(const KeyExtractor& extractor,
+                                              uint64_t entry, KeyRef key) {
+  if (HotEntry::IsEmpty(entry)) return std::nullopt;
+  KeyScratch scratch;
+  if (extractor(HotEntry::TidPayload(entry), scratch) == key) {
+    return HotEntry::TidPayload(entry);
+  }
+  return std::nullopt;
+}
+
+// Batched point lookups with memory-level parallelism (batch_lookup.h):
+// out[i] = the verified terminal entry of keys[i] below `root`, with up to
+// `width` descents in flight.  Always inlined, so each trie's LookupBatch
+// stays one function, with RowexHotTrie's epoch guard in the same frame as
+// the staging, which is how the served GET drain calls it.
+template <typename SlotLoad, typename KeyExtractor>
+[[gnu::always_inline]] inline void LookupBatchBelow(
+    uint64_t root, const KeyExtractor& extractor, std::span<const KeyRef> keys,
+    std::span<std::optional<uint64_t>> out, unsigned width) {
+  assert(out.size() >= keys.size());
+  size_t n = keys.size();
+  if (n == 0) return;
+  if (!HotEntry::IsNode(root)) {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = VerifyTerminal(extractor, root, keys[i]);
+    }
+    return;
+  }
+  constexpr size_t kInlineTerminals = 256;
+  uint64_t inline_buf[kInlineTerminals];
+  std::vector<uint64_t> heap_buf;
+  uint64_t* terminal = inline_buf;
+  if (n > kInlineTerminals) {
+    heap_buf.resize(n);
+    terminal = heap_buf.data();
+  }
+  BatchDescend<SlotLoad>(root, keys.data(), n, terminal, width);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = VerifyTerminal(extractor, terminal[i], keys[i]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ordered iteration
+// ---------------------------------------------------------------------------
+
+// In-order cursor over the tree below a root entry, holding the path from
+// the root to the current leaf.  HotTrie::Iterator is
+// HotCursor<PlainSlotLoad>; RowexHotTrie's scans run a
+// HotCursor<AcquireSlotLoad> under one epoch guard and see some consistent
+// recent state of each node they pass.  valid() while at an entry.
+template <typename SlotLoad>
+class HotCursor {
+ public:
+  bool valid() const { return current_ != HotEntry::kEmpty; }
+  uint64_t value() const { return HotEntry::TidPayload(current_); }
+
+  // Positions at the minimum / maximum entry below `root`.
+  void SeekFirst(uint64_t root) {
+    depth_ = 0;
+    DescendEdge(root, /*leftmost=*/true);
+  }
+  void SeekLast(uint64_t root) {
+    depth_ = 0;
+    DescendEdge(root, /*leftmost=*/false);
+  }
+
+  // Positions at the first entry with key >= `key`.
+  template <typename KeyExtractor>
+  void SeekLowerBound(uint64_t root, KeyRef key,
+                      const KeyExtractor& extractor);
+
+  // Moves to the successor in key order; invalidates past the maximum.
+  void Next() {
+    while (depth_ > 0) {
+      PathLevel& top = levels_[depth_ - 1];
+      if (top.idx + 1 < top.node.count()) {
+        ++top.idx;
+        DescendEdge(SlotLoad::Load(&top.node.values()[top.idx]),
+                    /*leftmost=*/true);
+        return;
+      }
+      --depth_;
+    }
+    current_ = HotEntry::kEmpty;
+  }
+
+  // Moves to the predecessor in key order; invalidates at the minimum.
+  void Prev() {
+    while (depth_ > 0) {
+      PathLevel& top = levels_[depth_ - 1];
+      if (top.idx > 0) {
+        --top.idx;
+        DescendEdge(SlotLoad::Load(&top.node.values()[top.idx]),
+                    /*leftmost=*/false);
+        return;
+      }
+      --depth_;
+    }
+    current_ = HotEntry::kEmpty;
+  }
+
+  // Visits up to `limit` values from the current entry on, in key order;
+  // returns the number visited.
+  template <typename Fn>
+  size_t Scan(size_t limit, Fn&& fn) {
+    size_t n = 0;
+    while (n < limit && valid()) {
+      fn(value());
+      if (++n < limit) Next();
+    }
+    return n;
+  }
+
+ private:
+  void DescendEdge(uint64_t entry, bool leftmost) {
+    while (HotEntry::IsNode(entry)) {
+      NodeRef node = NodeRef::FromEntry(entry);
+      unsigned idx = leftmost ? 0 : node.count() - 1;
+      levels_[depth_++] = {node, idx};
+      entry = SlotLoad::Load(&node.values()[idx]);
+    }
+    current_ = entry;
+  }
+
+  PathLevel levels_[kMaxDepth];
+  unsigned depth_ = 0;
+  uint64_t current_ = HotEntry::kEmpty;
+};
+
+template <typename SlotLoad>
+template <typename KeyExtractor>
+void HotCursor<SlotLoad>::SeekLowerBound(uint64_t root, KeyRef key,
+                                         const KeyExtractor& extractor) {
+  // Blind descent recording the path.
+  current_ = DescendRecording<SlotLoad>(root, key, levels_, &depth_);
+  if (HotEntry::IsEmpty(current_)) return;
+  KeyScratch scratch;
+  KeyRef cand = extractor(HotEntry::TidPayload(current_), scratch);
+  if (depth_ == 0) {
+    // A leaf root: the tree's only entry.
+    if (cand.Compare(key) < 0) current_ = HotEntry::kEmpty;
+    return;
+  }
+  size_t p = FirstMismatchBit(key, cand);
+  if (p == kNoMismatch) return;  // exact hit
+
+  // Everything under the mismatching BiNode shares the search key's prefix
+  // up to p, so the whole affected subtree orders on the one bit key[p]
+  // (paper §3.1).
+  PhysicalInsertInfo range;
+  unsigned target =
+      LocateMismatch(levels_, depth_, static_cast<unsigned>(p), &range);
+  NodeRef tnode = levels_[target].node;
+  depth_ = target;
+  if (key.Bit(p) == 0) {
+    // key < all affected entries: lower bound is the subtree's minimum.
+    levels_[depth_++] = {tnode, range.first};
+    DescendEdge(SlotLoad::Load(&tnode.values()[range.first]),
+                /*leftmost=*/true);
+  } else {
+    // key > all affected entries: successor of the subtree's maximum.
+    levels_[depth_++] = {tnode, range.last};
+    DescendEdge(SlotLoad::Load(&tnode.values()[range.last]),
+                /*leftmost=*/false);
+    Next();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Insert (§3.2, §4.4) and remove
+// ---------------------------------------------------------------------------
+
+// Extracts the key of a value about to be inserted.  Real checks, not
+// asserts: violating either corrupts the node layouts (8-bit byte offsets /
+// 63-bit tid payloads), which must not depend on the build type.
+template <typename KeyExtractor>
+inline KeyRef InsertKey(const KeyExtractor& extractor, uint64_t value,
+                        KeyScratch& scratch) {
+  KeyRef key = extractor(value, scratch);
+  if (key.size() > kMaxKeyBytes) {
+    throw std::invalid_argument("HOT: keys longer than 256 bytes");
+  }
+  if ((value >> 63) != 0) {
+    throw std::invalid_argument("HOT: values must be 63-bit payloads");
+  }
+  return key;
+}
+
+// What inserting one key does to the tree, found by one descent before
+// anything is modified.  RowexHotTrie locks exactly the slots and nodes a
+// plan names and validates that it still holds.
+struct InsertPlan {
+  PathLevel path[kMaxDepth];  // the search path from the root
+  unsigned depth;             // nodes on it
+  uint64_t leaf;              // the terminal entry it reached
+
+  // The rest is set only when the key is absent.  A pushdown replaces just
+  // the leaf, in SlotAbove(depth): by the new tid in an empty tree, else by
+  // a height-1 node over the leaf and the tid (a leaf root, or a leaf-node
+  // pushdown).  Otherwise the new BiNode goes into the covering node
+  // path[target], and the nodes path[top..target] are replaced
+  // copy-on-write (top < target when an overflow pulls BiNodes up).
+  bool pushdown;
+  unsigned bit;             // first bit where the key and leaf's key differ
+  unsigned key_bit;         // the key's value at `bit`
+  unsigned target;
+  PhysicalInsertInfo info;  // `bit`'s rank and affected range in path[target]
+  unsigned top;
+};
+
+// Plans inserting `key` below `root` (empty, a leaf or a node).  Returns
+// false if the key is present: plan->leaf then holds it, in the slot
+// SlotAbove(plan->depth).
+template <typename SlotLoad, typename KeyExtractor>
+inline bool PlanInsert(uint64_t root, KeyRef key,
+                       const KeyExtractor& extractor, InsertPlan* plan) {
+  plan->leaf = DescendRecording<SlotLoad>(root, key, plan->path, &plan->depth);
+  plan->pushdown = true;
+  if (HotEntry::IsEmpty(plan->leaf)) return true;
+  KeyScratch scratch;
+  size_t p = FirstMismatchBit(
+      key, extractor(HotEntry::TidPayload(plan->leaf), scratch));
+  if (p == kNoMismatch) return false;
+  plan->bit = static_cast<unsigned>(p);
+  plan->key_bit = key.Bit(p);
+  if (plan->depth == 0) return true;
+
+  unsigned target =
+      LocateMismatch(plan->path, plan->depth, plan->bit, &plan->info);
+  const PathLevel* path = plan->path;
+  // Leaf-node pushdown: the mismatching BiNode is a single tid entry of an
+  // inner node.  The affected range holds the chosen slot, so a one-entry
+  // range at the path's last node is the leaf itself.
+  plan->pushdown = plan->info.first == plan->info.last &&
+                   target == plan->depth - 1 &&
+                   path[target].node.height() > 1;
+  plan->target = target;
+  // The overflow chain: a full node splits, and its severed root BiNode
+  // moves into a parent exactly one level above (parent pull-up), which may
+  // overflow in turn.  It ends at a node with room, at the root (which
+  // grows), or below a parent with head room (intermediate node creation).
+  unsigned top = target;
+  while (top > 0 && path[top].node.count() >= kMaxFanout &&
+         path[top].node.height() + 1 == path[top - 1].node.height()) {
+    --top;
+  }
+  plan->top = top;
+  return true;
+}
+
+// The entry that replaces the leaf of a `pushdown` plan: the tid itself in
+// an empty tree, else a height-1 node over the leaf and the tid.
+template <typename Alloc>
+inline uint64_t BuildPushdown(const InsertPlan& plan, uint64_t tid,
+                              Alloc& alloc) {
+  if (HotEntry::IsEmpty(plan.leaf)) return tid;
+  LogicalNode two = plan.key_bit
+                        ? MakeTwoEntryNode(plan.bit, plan.leaf, tid, 1)
+                        : MakeTwoEntryNode(plan.bit, tid, plan.leaf, 1);
+  return Encode(two, alloc).ToEntry();
+}
+
+// The replacement BuildInsert makes for the nodes path[plan.top..target].
+struct Replacement {
+  uint64_t entry;  // to store into SlotAbove(plan.top)
+  bool spliced;    // made by the §4.4 physical splice
+};
+
+// Builds the insert of `tid` that a non-pushdown plan describes.  The
+// common case (§4.4) splices the entry into the covering node's physical
+// layout.  Otherwise a logical insert runs, and an overflow splits upward:
+// parent pull-up, then root growth or intermediate node creation (§3.2).
+// The caller stores the result's entry into SlotAbove(plan.top) and then
+// frees or retires path[plan.top..plan.target]; the nodes are read with
+// plain loads, so a concurrent caller must hold their locks.
+// Exception-safe: if an allocation throws, every node built so far is
+// freed, and the tree is untouched.
+template <typename Alloc>
+inline Replacement BuildInsert(const InsertPlan& plan, uint64_t tid,
+                               Alloc& alloc) {
+  unsigned level = plan.target;
+  NodeRef tnode = plan.path[level].node;
+  uint64_t fast =
+      TryPhysicalInsert(tnode, plan.info, plan.bit, plan.key_bit, tid, alloc);
+  if (fast != HotEntry::kEmpty) return {fast, true};
+
+  // Every encoded node is tracked so a throwing allocation can free the
+  // unpublished chain (each level encodes at most two halves plus one
+  // final node).
+  uint64_t fresh[2 * kMaxDepth + 2];
+  unsigned n_fresh = 0;
+  auto encode = [&](const LogicalNode& n) {
+    uint64_t e = Encode(n, alloc).ToEntry();
+    fresh[n_fresh++] = e;
+    return e;
+  };
+  auto encode_half = [&](const LogicalNode& half) {
+    return half.count == 1 ? half.entries[0] : encode(half);
+  };
+
+  LogicalNode ln = Decode(tnode);
+  LogicalInsert(ln, plan.path[level].idx, plan.bit, plan.key_bit, tid);
+  try {
+    while (ln.count > kMaxFanout) {
+      SplitResult split = Split(ln);
+      uint64_t left = encode_half(split.left);
+      uint64_t right = encode_half(split.right);
+      if (level > 0 && ln.height + 1 == plan.path[level - 1].node.height()) {
+        // Parent pull-up: move the severed root BiNode into the parent,
+        // which may overflow in turn.
+        const PathLevel& parent = plan.path[--level];
+        ln = Decode(parent.node);
+        ReplaceEntryWithTwo(ln, parent.idx, split.bit_pos, left, right);
+      } else {
+        // Root growth — the only height-increasing case — or intermediate
+        // node creation: with head room below the parent, a new node above
+        // the halves does not increase the tree height.
+        unsigned h = 1 + std::max(EntryHeight(left), EntryHeight(right));
+        ln = MakeTwoEntryNode(split.bit_pos, left, right, h);
+      }
+    }
+    assert(level == plan.top);
+    return {encode(ln), false};
+  } catch (...) {
+    // Nothing built here was published: free it (FreeNode is per node, so
+    // children shared with the tree are untouched).
+    for (unsigned i = 0; i < n_fresh; ++i) {
+      FreeNode(alloc, NodeRef::FromEntry(fresh[i]));
+    }
+    throw;
+  }
+}
+
+// Normal delete: the entry that replaces `owner`'s node once its entry at
+// owner.idx is gone.  A node left with a single entry collapses into it
+// (the k-constraint demands >= 2 entries = >= 1 BiNode per node).
+template <typename Alloc>
+inline uint64_t BuildRemove(const PathLevel& owner, Alloc& alloc) {
+  LogicalNode ln = Decode(owner.node);
+  RemoveEntry(ln, owner.idx);
+  return ln.count == 1 ? ln.entries[0] : Encode(ln, alloc).ToEntry();
+}
+
+// ---------------------------------------------------------------------------
+// Walks (quiescent)
+// ---------------------------------------------------------------------------
+
+// Visits every compound node below `entry` with its depth; `entry`'s own
+// node has depth `depth`.
+inline void VisitNodes(uint64_t entry, unsigned depth,
+                       const std::function<void(NodeRef, unsigned)>& fn) {
+  if (!HotEntry::IsNode(entry)) return;
+  NodeRef node = NodeRef::FromEntry(entry);
+  fn(node, depth);
+  for (unsigned i = 0; i < node.count(); ++i) {
+    VisitNodes(node.values()[i], depth + 1, fn);
+  }
+}
+
+// Visits every stored value below `entry` with `depth` plus the number of
+// compound nodes on its path from `entry`.
+inline void VisitLeaves(uint64_t entry, unsigned depth,
+                        const std::function<void(unsigned, uint64_t)>& fn) {
+  if (HotEntry::IsEmpty(entry)) return;
+  if (HotEntry::IsTid(entry)) {
+    fn(depth, HotEntry::TidPayload(entry));
+    return;
+  }
+  NodeRef node = NodeRef::FromEntry(entry);
+  for (unsigned i = 0; i < node.count(); ++i) {
+    VisitLeaves(node.values()[i], depth + 1, fn);
+  }
+}
+
+template <typename Alloc>
+inline void FreeSubtree(uint64_t entry, Alloc& alloc) {
+  if (!HotEntry::IsNode(entry)) return;
+  NodeRef node = NodeRef::FromEntry(entry);
+  for (unsigned i = 0; i < node.count(); ++i) {
+    FreeSubtree(node.values()[i], alloc);
+  }
+  FreeNode(alloc, node);
+}
+
+// ---------------------------------------------------------------------------
+// HotTrie
+// ---------------------------------------------------------------------------
+
 template <typename KeyExtractor>
 class HotTrie {
  public:
@@ -66,10 +538,14 @@ class HotTrie {
 
   // Inserts `value` (63-bit payload) under its extracted key.  Returns false
   // if the key is already present; the stored value is left unchanged.
-  bool Insert(uint64_t value);
+  bool Insert(uint64_t value) {
+    return !Put(value, /*overwrite=*/false).has_value();
+  }
 
   // Inserts or overwrites.  Returns the previous value if one existed.
-  std::optional<uint64_t> Upsert(uint64_t value);
+  std::optional<uint64_t> Upsert(uint64_t value) {
+    return Put(value, /*overwrite=*/true);
+  }
 
   // Bulk-builds a height-optimized trie from values sorted ascending by
   // extracted key and duplicate-free (hot/bulk_load.h); duplicates are
@@ -96,7 +572,9 @@ class HotTrie {
 
   // --- queries ---------------------------------------------------------------
 
-  std::optional<uint64_t> Lookup(KeyRef key) const;
+  std::optional<uint64_t> Lookup(KeyRef key) const {
+    return VerifyTerminal(extractor_, Descend<PlainSlotLoad>(root_, key), key);
+  }
 
   // Batched point lookups with memory-level parallelism (batch_lookup.h):
   // out[i] = Lookup(keys[i]), bit-identical.  Up to `width` descents stay
@@ -104,27 +582,38 @@ class HotTrie {
   // as keys.
   void LookupBatch(std::span<const KeyRef> keys,
                    std::span<std::optional<uint64_t>> out,
-                   unsigned width = kDefaultBatchWidth) const;
+                   unsigned width = kDefaultBatchWidth) const {
+    LookupBatchBelow<PlainSlotLoad>(root_, extractor_, keys, out, width);
+  }
 
   // Ordered iteration.  An Iterator is valid() while it points at an entry.
-  class Iterator;
-  Iterator Begin() const;
+  using Iterator = HotCursor<PlainSlotLoad>;
+  Iterator Begin() const {
+    Iterator it;
+    it.SeekFirst(root_);
+    return it;
+  }
   // Iterator at the maximum key (for descending iteration via Prev()).
-  Iterator Last() const;
+  Iterator Last() const {
+    Iterator it;
+    it.SeekLast(root_);
+    return it;
+  }
   // First entry with key >= `key`.
-  Iterator LowerBound(KeyRef key) const;
-  // Batched LowerBound: out[i] = LowerBound(keys[i]).  The blind descents
-  // — the cache-miss-dominated phase — run interleaved; repositioning then
-  // walks the just-touched (cache-hot) path per key.
-  void LowerBoundBatch(std::span<const KeyRef> keys, Iterator* out,
-                       unsigned width = kDefaultBatchWidth) const;
+  Iterator LowerBound(KeyRef key) const {
+    Iterator it;
+    it.SeekLowerBound(root_, key, extractor_);
+    return it;
+  }
   // First entry with key > `key`.
   Iterator UpperBound(KeyRef key) const;
 
   // Visits up to `limit` values with key >= `start` in key order; returns
   // the number visited (YCSB workload E short range scans).
   template <typename Fn>
-  size_t ScanFrom(KeyRef start, size_t limit, Fn&& fn) const;
+  size_t ScanFrom(KeyRef start, size_t limit, Fn&& fn) const {
+    return LowerBound(start).Scan(limit, fn);
+  }
 
   // Visits up to `limit` values with key <= `start` in DESCENDING key
   // order (ORDER BY ... DESC paging).
@@ -133,17 +622,25 @@ class HotTrie {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  void Clear();
+  void Clear() {
+    FreeSubtree(root_, alloc_);
+    root_ = HotEntry::kEmpty;
+    size_ = 0;
+  }
 
   // --- introspection (stats & validation) ------------------------------------
 
   // Visits every compound node with its depth (root nodes have depth 1).
   void ForEachNode(const std::function<void(NodeRef, unsigned depth)>& fn)
-      const;
+      const {
+    VisitNodes(root_, 1, fn);
+  }
   // Visits every stored value with the number of compound nodes on its path
   // (the Fig. 11 leaf-depth metric).
   void ForEachLeaf(
-      const std::function<void(unsigned depth, uint64_t value)>& fn) const;
+      const std::function<void(unsigned depth, uint64_t value)>& fn) const {
+    VisitLeaves(root_, 0, fn);
+  }
 
   // Checks every structural invariant; returns true and clears *error on
   // success.  Expensive — test/debug use.
@@ -155,54 +652,9 @@ class HotTrie {
   uint64_t root_entry() const { return root_; }
 
  private:
-  struct PathLevel {
-    NodeRef node;
-    unsigned idx;
-  };
-
-  KeyRef ExtractKey(uint64_t tagged_entry, KeyScratch& scratch) const {
-    return extractor_(HotEntry::TidPayload(tagged_entry), scratch);
-  }
-
-  // Final verification of a terminal entry against the search key (Listing
-  // 2 line 7); shared by scalar and batched lookups.
-  std::optional<uint64_t> VerifyTerminal(uint64_t entry, KeyRef key) const {
-    if (HotEntry::IsEmpty(entry)) return std::nullopt;
-    KeyScratch scratch;
-    if (ExtractKey(entry, scratch) == key) return HotEntry::TidPayload(entry);
-    return std::nullopt;
-  }
-
-  // Repositions `it` — holding the blind-descent path for `key` with
-  // terminal entry `cur` — at the first entry >= key (paper §3.1: the
-  // mismatching BiNode orders the whole affected subtree on one bit).
-  void RepositionLowerBound(Iterator& it, KeyRef key, uint64_t cur) const;
-
-  // Stores `entry` into the slot that pointed at path[level]'s node:
-  // the parent's value slot, or the root.
-  void ReplaceChild(PathLevel* path, unsigned level, uint64_t entry) {
-    if (level == 0) {
-      root_ = entry;
-    } else {
-      path[level - 1].node.values()[path[level - 1].idx] = entry;
-    }
-  }
-
-  // Resolves overflow by parent pull-up / intermediate node creation /
-  // root growth (§3.2).  `ln` holds kMaxFanout+1 entries belonging to the
-  // node at path[level], which is consumed (freed).
-  void HandleOverflow(PathLevel* path, unsigned level, LogicalNode& ln);
-
-  uint64_t EncodeEntry(const LogicalNode& ln) {
-    return Encode(ln, alloc_).ToEntry();
-  }
-
-  // Encodes a split half: a single-entry half collapses to its entry.
-  uint64_t EncodeHalf(LogicalNode& half) {
-    return half.count == 1 ? half.entries[0] : EncodeEntry(half);
-  }
-
-  void FreeSubtree(uint64_t entry);
+  // Inserts `value` if its key is absent.  Otherwise returns the stored
+  // value, and overwrites it when `overwrite`.
+  std::optional<uint64_t> Put(uint64_t value, bool overwrite);
 
   KeyExtractor extractor_;
   mutable NodePool alloc_;
@@ -210,355 +662,46 @@ class HotTrie {
   size_t size_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Insert
-// ---------------------------------------------------------------------------
-
 template <typename KeyExtractor>
-bool HotTrie<KeyExtractor>::Insert(uint64_t value) {
+std::optional<uint64_t> HotTrie<KeyExtractor>::Put(uint64_t value,
+                                                   bool overwrite) {
   KeyScratch scratch;
-  KeyRef key = extractor_(value, scratch);
-  // Real checks, not asserts: violating either corrupts the node layouts
-  // (8-bit byte offsets / 63-bit tid payloads), which must not depend on
-  // the build type.
-  if (key.size() > kMaxKeyBytes) {
-    throw std::invalid_argument("HotTrie: keys longer than 256 bytes");
-  }
-  if ((value >> 63) != 0) {
-    throw std::invalid_argument("HotTrie: values must be 63-bit payloads");
-  }
-
-  if (HotEntry::IsEmpty(root_)) {
-    root_ = HotEntry::MakeTid(value);
-    ++size_;
-    return true;
-  }
-
-  if (HotEntry::IsTid(root_)) {
-    KeyScratch existing_scratch;
-    KeyRef existing = ExtractKey(root_, existing_scratch);
-    size_t p = FirstMismatchBit(key, existing);
-    if (p == kNoMismatch) return false;
-    uint64_t tid = HotEntry::MakeTid(value);
-    LogicalNode two = key.Bit(p) ? MakeTwoEntryNode(p, root_, tid, 1)
-                                 : MakeTwoEntryNode(p, tid, root_, 1);
-    root_ = EncodeEntry(two);
-    ++size_;
-    return true;
-  }
-
-  // Traverse to the candidate leaf, recording the search path.
-  PathLevel path[kMaxDepth];
-  unsigned depth = 0;
-  uint64_t cur = root_;
-  while (HotEntry::IsNode(cur)) {
-    PrefetchNode(cur);
-    NodeRef node = NodeRef::FromEntry(cur);
-    unsigned idx = SearchNode(node, key);
-    path[depth++] = {node, idx};
-    cur = node.values()[idx];
-  }
-
-  KeyScratch existing_scratch;
-  KeyRef existing = ExtractKey(cur, existing_scratch);
-  size_t p = FirstMismatchBit(key, existing);
-  if (p == kNoMismatch) return false;
-  unsigned key_bit = key.Bit(p);
+  KeyRef key = InsertKey(extractor_, value, scratch);
   uint64_t tid = HotEntry::MakeTid(value);
-
-  // The covering node: the deepest node on the path whose root BiNode bit is
-  // <= p (root bits strictly increase along the path).  If even the tree
-  // root's bit exceeds p, the new BiNode becomes the root node's new root
-  // BiNode — handled by the same normal-insert code (all entries affected).
-  unsigned target = depth - 1;
-  while (target > 0 && RootDiscBit(path[target].node) > p) --target;
-
-  NodeRef tnode = path[target].node;
-  PhysicalInsertInfo info;
-  PhysicalBitRank(tnode, static_cast<unsigned>(p), &info.rank, &info.exists);
-  PhysicalAffectedRange(tnode, path[target].idx, info.rank, &info.first,
-                        &info.last);
-
-  if (info.first == info.last &&
-      HotEntry::IsTid(tnode.values()[info.first]) && tnode.height() > 1) {
-    // Leaf-node pushdown: the mismatching BiNode is a single tid entry of an
-    // inner node; grow downward without touching this node's BiNodes.
-    uint64_t old_leaf = tnode.values()[info.first];
-    LogicalNode two = key_bit ? MakeTwoEntryNode(p, old_leaf, tid, 1)
-                              : MakeTwoEntryNode(p, tid, old_leaf, 1);
-    tnode.values()[info.first] = EncodeEntry(two);
-    ++size_;
-    return true;
+  InsertPlan plan;
+  if (!PlanInsert<PlainSlotLoad>(root_, key, extractor_, &plan)) {
+    if (overwrite) *SlotAbove(&root_, plan.path, plan.depth) = tid;
+    return HotEntry::TidPayload(plan.leaf);
   }
-
-  // Common case (§4.4): splice the entry directly into the physical layout.
-  uint64_t fast = TryPhysicalInsert(tnode, info, static_cast<unsigned>(p),
-                                    key_bit, tid, alloc_);
-  if (fast != HotEntry::kEmpty) {
-    ReplaceChild(path, target, fast);
-    FreeNode(alloc_, tnode);
-    ++size_;
-    return true;
-  }
-
-  // General path: layout change or overflow.
-  LogicalNode ln = Decode(tnode);
-  LogicalInsert(ln, path[target].idx, static_cast<unsigned>(p), key_bit, tid);
-  if (ln.count <= kMaxFanout) {
-    uint64_t replacement = EncodeEntry(ln);
-    ReplaceChild(path, target, replacement);
-    FreeNode(alloc_, tnode);
+  if (plan.pushdown) {
+    *SlotAbove(&root_, plan.path, plan.depth) =
+        BuildPushdown(plan, tid, alloc_);
   } else {
-    HandleOverflow(path, target, ln);
+    uint64_t entry = BuildInsert(plan, tid, alloc_).entry;
+    *SlotAbove(&root_, plan.path, plan.top) = entry;
+    for (unsigned l = plan.top; l <= plan.target; ++l) {
+      FreeNode(alloc_, plan.path[l].node);
+    }
   }
   ++size_;
-  return true;
+  return std::nullopt;
 }
-
-template <typename KeyExtractor>
-void HotTrie<KeyExtractor>::HandleOverflow(PathLevel* path, unsigned level,
-                                           LogicalNode& ln) {
-  for (;;) {
-    SplitResult split = Split(ln);
-    uint64_t left_entry = EncodeHalf(split.left);
-    uint64_t right_entry = EncodeHalf(split.right);
-    NodeRef overflowed = path[level].node;
-
-    if (level == 0) {
-      // Root overflow: grow a new root — the only height-increasing case.
-      unsigned h = 1 + std::max(EntryHeight(left_entry),
-                                EntryHeight(right_entry));
-      LogicalNode new_root =
-          MakeTwoEntryNode(split.bit_pos, left_entry, right_entry, h);
-      root_ = EncodeEntry(new_root);
-      FreeNode(alloc_, overflowed);
-      return;
-    }
-
-    PathLevel& parent = path[level - 1];
-    if (ln.height + 1 == parent.node.height()) {
-      // Parent pull-up: move the severed root BiNode into the parent, which
-      // may overflow in turn.
-      LogicalNode pl = Decode(parent.node);
-      ReplaceEntryWithTwo(pl, parent.idx, split.bit_pos, left_entry,
-                          right_entry);
-      FreeNode(alloc_, overflowed);
-      if (pl.count <= kMaxFanout) {
-        uint64_t replacement = EncodeEntry(pl);
-        NodeRef old = parent.node;
-        ReplaceChild(path, level - 1, replacement);
-        FreeNode(alloc_, old);
-        return;
-      }
-      ln = pl;
-      --level;
-      continue;
-    }
-
-    // Intermediate node creation: there is head room below the parent
-    // (ln.height + 1 < parent height), so a new node above the halves does
-    // not increase the overall tree height.
-    assert(ln.height + 1 < parent.node.height());
-    unsigned h =
-        1 + std::max(EntryHeight(left_entry), EntryHeight(right_entry));
-    LogicalNode intermediate =
-        MakeTwoEntryNode(split.bit_pos, left_entry, right_entry, h);
-    parent.node.values()[parent.idx] = EncodeEntry(intermediate);
-    FreeNode(alloc_, overflowed);
-    return;
-  }
-}
-
-template <typename KeyExtractor>
-std::optional<uint64_t> HotTrie<KeyExtractor>::Upsert(uint64_t value) {
-  KeyScratch scratch;
-  KeyRef key = extractor_(value, scratch);
-  if (Insert(value)) return std::nullopt;
-  // Key exists: overwrite the tid in place.
-  uint64_t cur = root_;
-  if (HotEntry::IsTid(cur)) {
-    uint64_t prev = HotEntry::TidPayload(cur);
-    root_ = HotEntry::MakeTid(value);
-    return prev;
-  }
-  NodeRef node;
-  uint64_t* slot = &root_;
-  while (HotEntry::IsNode(*slot)) {
-    node = NodeRef::FromEntry(*slot);
-    slot = &node.values()[SearchNode(node, key)];
-  }
-  uint64_t prev = HotEntry::TidPayload(*slot);
-  *slot = HotEntry::MakeTid(value);
-  return prev;
-}
-
-// ---------------------------------------------------------------------------
-// Lookup
-// ---------------------------------------------------------------------------
-
-template <typename KeyExtractor>
-std::optional<uint64_t> HotTrie<KeyExtractor>::Lookup(KeyRef key) const {
-  uint64_t cur = root_;
-  while (HotEntry::IsNode(cur)) {
-    PrefetchNode(cur);
-    NodeRef node = NodeRef::FromEntry(cur);
-    cur = node.values()[SearchNode(node, key)];
-  }
-  // Final verification against the stored key (Listing 2 line 7): the
-  // Patricia search may return a false positive.
-  return VerifyTerminal(cur, key);
-}
-
-template <typename KeyExtractor>
-void HotTrie<KeyExtractor>::LookupBatch(std::span<const KeyRef> keys,
-                                        std::span<std::optional<uint64_t>> out,
-                                        unsigned width) const {
-  assert(out.size() >= keys.size());
-  size_t n = keys.size();
-  if (n == 0) return;
-  if (!HotEntry::IsNode(root_)) {
-    for (size_t i = 0; i < n; ++i) out[i] = VerifyTerminal(root_, keys[i]);
-    return;
-  }
-  constexpr size_t kInlineTerminals = 256;
-  uint64_t inline_buf[kInlineTerminals];
-  std::vector<uint64_t> heap_buf;
-  uint64_t* terminal = inline_buf;
-  if (n > kInlineTerminals) {
-    heap_buf.resize(n);
-    terminal = heap_buf.data();
-  }
-  BatchDescend<PlainSlotLoad>(root_, keys.data(), n, terminal, width,
-                              [](uint32_t, NodeRef, unsigned) {});
-  for (size_t i = 0; i < n; ++i) out[i] = VerifyTerminal(terminal[i], keys[i]);
-}
-
-// ---------------------------------------------------------------------------
-// Remove
-// ---------------------------------------------------------------------------
 
 template <typename KeyExtractor>
 bool HotTrie<KeyExtractor>::Remove(KeyRef key) {
-  if (HotEntry::IsEmpty(root_)) return false;
-  if (HotEntry::IsTid(root_)) {
-    KeyScratch scratch;
-    if (!(ExtractKey(root_, scratch) == key)) return false;
-    root_ = HotEntry::kEmpty;
-    --size_;
-    return true;
-  }
-
   PathLevel path[kMaxDepth];
-  unsigned depth = 0;
-  uint64_t cur = root_;
-  while (HotEntry::IsNode(cur)) {
-    NodeRef node = NodeRef::FromEntry(cur);
-    unsigned idx = SearchNode(node, key);
-    path[depth++] = {node, idx};
-    cur = node.values()[idx];
+  unsigned depth;
+  uint64_t leaf = DescendRecording<PlainSlotLoad>(root_, key, path, &depth);
+  if (!VerifyTerminal(extractor_, leaf, key)) return false;
+  if (depth == 0) {
+    root_ = HotEntry::kEmpty;
+  } else {
+    const PathLevel& owner = path[depth - 1];
+    *SlotAbove(&root_, path, depth - 1) = BuildRemove(owner, alloc_);
+    FreeNode(alloc_, owner.node);
   }
-  KeyScratch scratch;
-  if (!(ExtractKey(cur, scratch) == key)) return false;
-
-  // Normal delete: remove the entry from its owning node; a node left with
-  // a single entry collapses into its parent slot (the k-constraint demands
-  // >= 2 entries = >= 1 BiNode per node).
-  PathLevel& leaf_level = path[depth - 1];
-  LogicalNode ln = Decode(leaf_level.node);
-  RemoveEntry(ln, leaf_level.idx);
-  NodeRef old = leaf_level.node;
-  uint64_t replacement =
-      ln.count == 1 ? ln.entries[0] : EncodeEntry(ln);
-  ReplaceChild(path, depth - 1, replacement);
-  FreeNode(alloc_, old);
   --size_;
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Iteration
-// ---------------------------------------------------------------------------
-
-template <typename KeyExtractor>
-class HotTrie<KeyExtractor>::Iterator {
- public:
-  Iterator() : depth_(0), current_(HotEntry::kEmpty) {}
-
-  bool valid() const { return current_ != HotEntry::kEmpty; }
-  uint64_t value() const { return HotEntry::TidPayload(current_); }
-
-  void Next() {
-    while (depth_ > 0) {
-      Level& top = levels_[depth_ - 1];
-      if (top.idx + 1 < top.node.count()) {
-        ++top.idx;
-        DescendLeftmost(top.node.values()[top.idx]);
-        return;
-      }
-      --depth_;
-    }
-    current_ = HotEntry::kEmpty;
-  }
-
-  // Moves to the predecessor in key order; invalidates at the minimum.
-  void Prev() {
-    while (depth_ > 0) {
-      Level& top = levels_[depth_ - 1];
-      if (top.idx > 0) {
-        --top.idx;
-        DescendRightmost(top.node.values()[top.idx]);
-        return;
-      }
-      --depth_;
-    }
-    current_ = HotEntry::kEmpty;
-  }
-
- private:
-  friend class HotTrie;
-
-  struct Level {
-    NodeRef node;
-    unsigned idx;
-  };
-
-  void Reset() {
-    depth_ = 0;
-    current_ = HotEntry::kEmpty;
-  }
-
-  void DescendLeftmost(uint64_t entry) { DescendEdge(entry, /*leftmost=*/true); }
-  void DescendRightmost(uint64_t entry) {
-    DescendEdge(entry, /*leftmost=*/false);
-  }
-
-  void DescendEdge(uint64_t entry, bool leftmost) {
-    while (HotEntry::IsNode(entry)) {
-      NodeRef node = NodeRef::FromEntry(entry);
-      unsigned idx = leftmost ? 0 : node.count() - 1;
-      levels_[depth_++] = {node, idx};
-      entry = node.values()[idx];
-    }
-    current_ = entry;
-  }
-
-  Level levels_[kMaxDepth];
-  unsigned depth_;
-  uint64_t current_;
-};
-
-template <typename KeyExtractor>
-typename HotTrie<KeyExtractor>::Iterator HotTrie<KeyExtractor>::Begin() const {
-  Iterator it;
-  if (!HotEntry::IsEmpty(root_)) it.DescendLeftmost(root_);
-  return it;
-}
-
-template <typename KeyExtractor>
-typename HotTrie<KeyExtractor>::Iterator HotTrie<KeyExtractor>::Last() const {
-  Iterator it;
-  if (!HotEntry::IsEmpty(root_)) it.DescendRightmost(root_);
-  return it;
 }
 
 template <typename KeyExtractor>
@@ -567,105 +710,9 @@ typename HotTrie<KeyExtractor>::Iterator HotTrie<KeyExtractor>::UpperBound(
   Iterator it = LowerBound(key);
   if (it.valid()) {
     KeyScratch scratch;
-    if (ExtractKey(HotEntry::MakeTid(it.value()), scratch) == key) it.Next();
+    if (extractor_(it.value(), scratch) == key) it.Next();
   }
   return it;
-}
-
-template <typename KeyExtractor>
-typename HotTrie<KeyExtractor>::Iterator HotTrie<KeyExtractor>::LowerBound(
-    KeyRef key) const {
-  Iterator it;
-  if (HotEntry::IsEmpty(root_)) return it;
-  if (HotEntry::IsTid(root_)) {
-    KeyScratch scratch;
-    if (ExtractKey(root_, scratch).Compare(key) >= 0) it.current_ = root_;
-    return it;
-  }
-
-  // Blind descent recording the path.
-  uint64_t cur = root_;
-  while (HotEntry::IsNode(cur)) {
-    NodeRef node = NodeRef::FromEntry(cur);
-    unsigned idx = SearchNode(node, key);
-    it.levels_[it.depth_++] = {node, idx};
-    cur = node.values()[idx];
-  }
-  RepositionLowerBound(it, key, cur);
-  return it;
-}
-
-template <typename KeyExtractor>
-void HotTrie<KeyExtractor>::RepositionLowerBound(Iterator& it, KeyRef key,
-                                                 uint64_t cur) const {
-  KeyScratch scratch;
-  KeyRef cand = ExtractKey(cur, scratch);
-  size_t p = FirstMismatchBit(key, cand);
-  if (p == kNoMismatch) {
-    it.current_ = cur;  // exact hit
-    return;
-  }
-
-  // Everything under the mismatching BiNode shares the search key's prefix
-  // up to p, so the whole affected subtree orders on the one bit key[p].
-  unsigned target = it.depth_ - 1;
-  while (target > 0 && RootDiscBit(it.levels_[target].node) > p) --target;
-  LogicalNode ln = Decode(it.levels_[target].node);
-  bool exists;
-  unsigned rank = BitRank(ln, static_cast<unsigned>(p), &exists);
-  AffectedRange range =
-      FindAffectedRange(ln, it.levels_[target].idx, rank);
-
-  it.depth_ = target;
-  NodeRef tnode = it.levels_[target].node;
-  if (key.Bit(p) == 0) {
-    // key < all affected entries: lower bound is the subtree's minimum.
-    it.levels_[it.depth_++] = {tnode, range.first};
-    it.DescendLeftmost(tnode.values()[range.first]);
-  } else {
-    // key > all affected entries: successor of the subtree's maximum.
-    it.levels_[it.depth_++] = {tnode, range.last};
-    it.DescendRightmost(tnode.values()[range.last]);
-    it.Next();
-  }
-}
-
-template <typename KeyExtractor>
-void HotTrie<KeyExtractor>::LowerBoundBatch(std::span<const KeyRef> keys,
-                                            Iterator* out,
-                                            unsigned width) const {
-  size_t n = keys.size();
-  if (n == 0) return;
-  if (!HotEntry::IsNode(root_)) {
-    // Empty or single-tid root: no descent to interleave.
-    for (size_t i = 0; i < n; ++i) out[i] = LowerBound(keys[i]);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) out[i].Reset();
-  std::vector<uint64_t> terminal(n);
-  BatchDescend<PlainSlotLoad>(
-      root_, keys.data(), n, terminal.data(), width,
-      [&](uint32_t i, NodeRef node, unsigned idx) {
-        Iterator& it = out[i];
-        it.levels_[it.depth_++] = {node, idx};
-      });
-  for (size_t i = 0; i < n; ++i) {
-    RepositionLowerBound(out[i], keys[i], terminal[i]);
-  }
-}
-
-template <typename KeyExtractor>
-template <typename Fn>
-size_t HotTrie<KeyExtractor>::ScanFrom(KeyRef start, size_t limit,
-                                       Fn&& fn) const {
-  Iterator it = LowerBound(start);
-  size_t n = 0;
-  while (it.valid() && n < limit) {
-    fn(it.value());
-    ++n;
-    it.Next();
-  }
-  return n;
 }
 
 template <typename KeyExtractor>
@@ -686,63 +733,6 @@ size_t HotTrie<KeyExtractor>::ScanReverseFrom(KeyRef start, size_t limit,
     it.Prev();
   }
   return n;
-}
-
-// ---------------------------------------------------------------------------
-// Maintenance & introspection
-// ---------------------------------------------------------------------------
-
-template <typename KeyExtractor>
-void HotTrie<KeyExtractor>::FreeSubtree(uint64_t entry) {
-  if (!HotEntry::IsNode(entry)) return;
-  NodeRef node = NodeRef::FromEntry(entry);
-  unsigned n = node.count();
-  for (unsigned i = 0; i < n; ++i) FreeSubtree(node.values()[i]);
-  FreeNode(alloc_, node);
-}
-
-template <typename KeyExtractor>
-void HotTrie<KeyExtractor>::Clear() {
-  FreeSubtree(root_);
-  root_ = HotEntry::kEmpty;
-  size_ = 0;
-}
-
-template <typename KeyExtractor>
-void HotTrie<KeyExtractor>::ForEachNode(
-    const std::function<void(NodeRef, unsigned)>& fn) const {
-  struct Walker {
-    const std::function<void(NodeRef, unsigned)>& fn;
-    void Walk(uint64_t entry, unsigned depth) {
-      if (!HotEntry::IsNode(entry)) return;
-      NodeRef node = NodeRef::FromEntry(entry);
-      fn(node, depth);
-      for (unsigned i = 0; i < node.count(); ++i) {
-        Walk(node.values()[i], depth + 1);
-      }
-    }
-  } walker{fn};
-  walker.Walk(root_, 1);
-}
-
-template <typename KeyExtractor>
-void HotTrie<KeyExtractor>::ForEachLeaf(
-    const std::function<void(unsigned, uint64_t)>& fn) const {
-  struct Walker {
-    const std::function<void(unsigned, uint64_t)>& fn;
-    void Walk(uint64_t entry, unsigned depth) {
-      if (HotEntry::IsEmpty(entry)) return;
-      if (HotEntry::IsTid(entry)) {
-        fn(depth, HotEntry::TidPayload(entry));
-        return;
-      }
-      NodeRef node = NodeRef::FromEntry(entry);
-      for (unsigned i = 0; i < node.count(); ++i) {
-        Walk(node.values()[i], depth + 1);
-      }
-    }
-  } walker{fn};
-  walker.Walk(root_, 0);
 }
 
 }  // namespace hot

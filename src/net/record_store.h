@@ -13,6 +13,8 @@
 // (KvServer::live_keys()) is the dead-record count; ServerStats does not
 // report either yet.  Because nothing is reclaimed, a long-running server
 // can fill the store: Append then refuses (capacity()), in every build.
+// Append also refuses, in every build, a key whose escaped form the tries
+// cannot hold (KeyFitsIndex).
 //
 // Key escape.  Trie keys must be prefix-free (common/key.h); wire keys are
 // arbitrary bytes, so "append a terminator" alone is not enough ("a\0" vs
@@ -41,7 +43,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -132,9 +133,12 @@ class RecordStore {
 
   // Appends one record and returns its id (dense, starting at 0, <
   // capacity() — valid as a trie value), or nullopt when the store already
-  // holds capacity() records.  `raw` must satisfy KeyFitsIndex.
+  // holds capacity() records or `raw` fails KeyFitsIndex.  The key check
+  // holds in every build: recovery appends keys read back from disk, which
+  // no earlier check has seen.
   std::optional<uint64_t> Append(KeyRef raw, uint64_t value) {
-    assert(KeyFitsIndex(raw));
+    size_t esc_len = EscapedKeyLength(raw);
+    if (esc_len > kMaxKeyBytes) return std::nullopt;
     std::lock_guard<std::mutex> guard(append_mu_);
     uint64_t id = size_.load(std::memory_order_relaxed);
     if (id >= capacity_) return std::nullopt;
@@ -149,7 +153,6 @@ class RecordStore {
     Record& rec = c->records[id % kChunkRecords];
     // Key bytes live in the chunk-local byte arena when they fit, else in
     // their own allocation; either way the pointer never moves afterwards.
-    size_t esc_len = EscapedKeyLength(raw);
     size_t need = raw.size() + esc_len;
     uint8_t* dst;
     if (c->bytes_used + need <= kChunkBytes) {

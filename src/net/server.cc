@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <chrono>
 #include <limits>
 #include <mutex>
@@ -755,14 +754,22 @@ bool KvServer::RecoverAndOpenWal(std::string* error) {
   std::vector<uint64_t> ids;
   ids.reserve(n);
   for (const ps::RecoveredRecord& r : rec.records) {
-    // Every record passed KeyFitsIndex when it was first accepted.
-    assert(KeyFitsIndex(r.key_ref()));
+    // Append refuses a key the index cannot hold.  A served PUT never logs
+    // one, but the snapshot and WAL readers accept any CRC-valid key, and
+    // indexing it would corrupt the trie.
     std::optional<uint64_t> id = store_.Append(r.key_ref(), r.value);
     if (!id.has_value()) {
-      if (error != nullptr) {
+      if (error == nullptr) return false;
+      if (KeyFitsIndex(r.key_ref())) {
         *error = "recovered image holds " + std::to_string(n) +
                  " keys, more than the record store's capacity of " +
                  std::to_string(store_.capacity());
+      } else {
+        *error = "recovered key of " + std::to_string(r.key_ref().size()) +
+                 " bytes escapes to " +
+                 std::to_string(EscapedKeyLength(r.key_ref())) +
+                 " bytes, more than the index's " +
+                 std::to_string(kMaxKeyBytes) + "-byte key limit";
       }
       return false;
     }

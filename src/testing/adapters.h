@@ -4,7 +4,7 @@
 // The differential executor (differ.h) drives any index exposing the shared
 // core — Insert(value) / Lookup(key) / Remove(key) / ScanFrom(start, limit,
 // fn) / size() — and uses these concepts to exercise optional surfaces where
-// they exist (Upsert, BulkLoad, iterator LowerBound, the batched descents,
+// they exist (Upsert, BulkLoad, iterator LowerBound, the batched lookups,
 // structural checkers) and to emulate them where they do not, so every index
 // answers every trace op.
 
@@ -44,13 +44,6 @@ concept HasLookupBatch =
     requires(const T& t, std::span<const KeyRef> keys,
              std::span<std::optional<uint64_t>> out) {
       t.LookupBatch(keys, out);
-    };
-
-template <typename T>
-concept HasLowerBoundBatch =
-    requires(const T& t, std::span<const KeyRef> keys,
-             typename T::Iterator* out) {
-      t.LowerBoundBatch(keys, out);
     };
 
 // HOT tries expose their tagged root entry + extractor for the deep

@@ -8,12 +8,12 @@
 //   * point lookups (hit and miss)
 //   * lower_bound (through the index's iterator where it has one)
 //   * bounded ordered scans, element by element
-//   * at every audit op: the FULL ordered scan output, the batched descent
-//     paths (LookupBatch / LowerBoundBatch) over a ring of recently touched
-//     keys re-checked against freshly computed oracle answers, the deep
-//     structural audit (audit.h) for HOT trees or CheckStructure for the
-//     competitor indexes, and the per-leaf height differential: every leaf's
-//     compound depth must be at most its Patricia BiNode depth
+//   * at every audit op: the FULL ordered scan output, the batched lookup
+//     path (LookupBatch) over a ring of recently touched keys re-checked
+//     against freshly computed oracle answers, the deep structural audit
+//     (audit.h) for HOT trees or CheckStructure for the competitor indexes,
+//     and the per-leaf height differential: every leaf's compound depth
+//     must be at most its Patricia BiNode depth
 //
 // The executor is deterministic: a (trace, index kind) pair either passes or
 // fails at a fixed op, which is what makes shrinking (shrink.h) and replay
@@ -293,7 +293,7 @@ class TraceRunner {
         return fail();
       }
     }
-    // Batched descents over the recently-touched ring, each slot re-checked
+    // Batched lookups over the recently-touched ring, each slot re-checked
     // against a freshly computed scalar oracle answer.
     if (!recent_.empty()) {
       std::vector<KeyScratch> scratches(recent_.size());
@@ -311,21 +311,6 @@ class TraceRunner {
             oss << "audit LookupBatch[" << i << "] (key " << recent_[i]
                 << "): oracle " << OptToString(want) << ", index "
                 << OptToString(out[i]);
-            return fail();
-          }
-        }
-      }
-      if constexpr (HasLowerBoundBatch<Index>) {
-        std::vector<typename Index::Iterator> its(keys.size());
-        index_.LowerBoundBatch(std::span<const KeyRef>(keys), its.data());
-        for (size_t i = 0; i < keys.size(); ++i) {
-          std::optional<uint64_t> want = OracleLowerBound(keys[i]);
-          std::optional<uint64_t> got;
-          if (its[i].valid()) got = its[i].value();
-          if (got != want) {
-            oss << "audit LowerBoundBatch[" << i << "] (key " << recent_[i]
-                << "): oracle " << OptToString(want) << ", index "
-                << OptToString(got);
             return fail();
           }
         }

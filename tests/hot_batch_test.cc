@@ -1,4 +1,4 @@
-// LookupBatch / LowerBoundBatch equivalence: the interleaved AMAC descent
+// LookupBatch equivalence: the interleaved AMAC descent
 // (hot/batch_lookup.h) must be bit-identical to the scalar operations for
 // every batch width, batch size, trie shape (empty / tid-only root / deep),
 // and key type — including misses.
@@ -154,71 +154,6 @@ TEST(HotBatchTest, StringKeys) {
     keys.push_back(TerminatedView(table[rng.NextBounded(table.size())]));
   }
   ExpectBatchMatchesScalar(trie, keys);
-}
-
-TEST(HotBatchTest, LowerBoundBatchMatchesScalar) {
-  U64Hot trie;
-  std::set<uint64_t> oracle;
-  SplitMix64 rng(9);
-  while (oracle.size() < 50'000) {
-    uint64_t v = rng.NextBounded(1u << 26);
-    if (oracle.insert(v).second) trie.Insert(v);
-  }
-  constexpr size_t kProbes = 4'096;
-  std::vector<uint8_t> bytes(kProbes * 8);
-  std::vector<KeyRef> keys(kProbes);
-  for (size_t i = 0; i < kProbes; ++i) {
-    // Mix of member keys, near misses, and keys beyond both ends.
-    uint64_t v;
-    switch (i % 4) {
-      case 0: {
-        auto oit = oracle.lower_bound(rng.NextBounded(1u << 26));
-        v = oit != oracle.end() ? *oit : *oracle.begin();
-        break;
-      }
-      case 1: v = rng.NextBounded(1u << 26); break;
-      case 2: v = rng.NextBounded(64); break;
-      default: v = (1u << 26) + rng.NextBounded(1u << 20); break;
-    }
-    EncodeU64(v, &bytes[i * 8]);
-    keys[i] = KeyRef(&bytes[i * 8], 8);
-  }
-  for (unsigned width : kWidths) {
-    std::vector<U64Hot::Iterator> its(kProbes);
-    trie.LowerBoundBatch(keys, its.data(), width);
-    for (size_t i = 0; i < kProbes; ++i) {
-      auto scalar = trie.LowerBound(keys[i]);
-      ASSERT_EQ(its[i].valid(), scalar.valid()) << "width=" << width
-                                                << " i=" << i;
-      if (scalar.valid()) {
-        ASSERT_EQ(its[i].value(), scalar.value()) << "width=" << width
-                                                  << " i=" << i;
-        // The batched iterator must be fully usable, not just positioned:
-        // advancing both stays in lockstep.
-        auto batched = its[i];
-        batched.Next();
-        scalar.Next();
-        ASSERT_EQ(batched.valid(), scalar.valid());
-        if (scalar.valid()) {
-          ASSERT_EQ(batched.value(), scalar.value());
-        }
-      }
-    }
-  }
-}
-
-TEST(HotBatchTest, LowerBoundBatchEmptyAndTidRoot) {
-  U64Hot trie;
-  std::vector<uint8_t> bytes(8);
-  EncodeU64(42, bytes.data());
-  std::vector<KeyRef> keys = {KeyRef(bytes.data(), 8)};
-  std::vector<U64Hot::Iterator> its(1);
-  trie.LowerBoundBatch(keys, its.data());
-  EXPECT_FALSE(its[0].valid());
-  trie.Insert(42);
-  trie.LowerBoundBatch(keys, its.data());
-  ASSERT_TRUE(its[0].valid());
-  EXPECT_EQ(its[0].value(), 42u);
 }
 
 TEST(HotBatchTest, RowexBatchMatchesScalar) {

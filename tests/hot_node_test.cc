@@ -1,5 +1,6 @@
 // Tests for the physical HOT node layer: the nine layouts, encode/decode
-// round trips, PEXT extraction (SIMD vs scalar), and the comply search.
+// round trips, PEXT extraction (SIMD vs scalar), the comply search, and the
+// physical-mask rank / affected range against their logical definitions.
 
 #include "hot/node.h"
 
@@ -9,9 +10,13 @@
 #include <set>
 #include <vector>
 
+#include "common/extractors.h"
 #include "common/rng.h"
+#include "hot/fast_insert.h"
 #include "hot/logical_node.h"
 #include "hot/node_search.h"
+#include "hot/trie.h"
+#include "testing/keyspace.h"
 
 namespace hot {
 namespace {
@@ -272,6 +277,121 @@ TEST_F(NodeTest, ShortKeysZeroPadInExtraction) {
   KeyRef shortkey(&one, 1);
   EXPECT_EQ(ExtractDensePartialKey(node, shortkey), 0u);
   EXPECT_EQ(SearchNode(node, shortkey), 0u);
+}
+
+// Fills sparse[lo..hi) with a random local trie whose BiNodes use ranks
+// >= r and whose entries share `prefix`.  Each BiNode leaves at least one
+// rank per level the larger side could still need.
+void RandomLocalTrie(SplitMix64& rng, unsigned num_bits, unsigned r,
+                     uint32_t prefix, unsigned lo, unsigned hi,
+                     uint32_t* sparse) {
+  unsigned n = hi - lo;
+  if (n == 1) {
+    sparse[lo] = prefix;
+    return;
+  }
+  unsigned q = r + static_cast<unsigned>(rng.NextBounded(num_bits - n + 2 - r));
+  unsigned left = 1 + static_cast<unsigned>(rng.NextBounded(n - 1));
+  RandomLocalTrie(rng, num_bits, q + 1, prefix, lo, lo + left, sparse);
+  RandomLocalTrie(rng, num_bits, q + 1, prefix | LogicalNode::RankBit(q),
+                  lo + left, hi, sparse);
+}
+
+// Checks the physical-mask rank and affected range (hot/fast_insert.h),
+// which insert planning and lower-bound repositioning read, against the
+// logical definitions on the decoded node: the rank of every bit position,
+// and the affected range around every slot at every rank.
+void ExpectPhysicalMatchesLogical(NodeRef node) {
+  SCOPED_TRACE(::testing::Message()
+               << "layout " << static_cast<int>(node.type()));
+  LogicalNode ln = Decode(node);
+  for (unsigned p = 0; p < kMaxKeyBytes * 8; ++p) {
+    bool want_exists;
+    unsigned want = BitRank(ln, p, &want_exists);
+    unsigned rank;
+    bool exists;
+    PhysicalBitRank(node, p, &rank, &exists);
+    ASSERT_EQ(rank, want) << "bit " << p;
+    ASSERT_EQ(exists, want_exists) << "bit " << p;
+  }
+  for (unsigned rank = 0; rank <= ln.num_bits; ++rank) {
+    for (unsigned cand = 0; cand < ln.count; ++cand) {
+      AffectedRange want = FindAffectedRange(ln, cand, rank);
+      unsigned first, last;
+      PhysicalAffectedRange(node, cand, rank, &first, &last);
+      ASSERT_EQ(first, want.first) << "rank " << rank << ", slot " << cand;
+      ASSERT_EQ(last, want.last) << "rank " << rank << ", slot " << cand;
+    }
+  }
+}
+
+TEST_F(NodeTest, PhysicalRankAndRangeMatchLogical) {
+  std::set<NodeType> layouts;
+  // Nodes of tries over every keyspace kind.
+  for (unsigned k = 0; k < testing::kNumKeySpaceKinds; ++k) {
+    testing::KeySpace ks =
+        testing::BuildKeySpace(static_cast<testing::KeySpaceKind>(k), 3000, k);
+    auto check = [&](auto& trie) {
+      for (size_t i = 0; i < ks.size(); ++i) trie.Insert(ks.ValueOf(i));
+      trie.ForEachNode([&](NodeRef node, unsigned) {
+        layouts.insert(node.type());
+        ExpectPhysicalMatchesLogical(node);
+      });
+    };
+    if (ks.is_string) {
+      HotTrie<StringTableExtractor> trie{StringTableExtractor(&ks.strings)};
+      check(trie);
+    } else {
+      HotTrie<U64KeyExtractor> trie;
+      check(trie);
+    }
+  }
+  // Encoded nodes with random local tries over bit sets that land in each
+  // of the nine layouts, so none depends on what the key sets reach.
+  // spread(): `per_byte` consecutive bits at the start of `bytes` spans of
+  // `stride` bits each.
+  auto spread = [](int bytes, int per_byte, int stride) {
+    std::vector<uint16_t> bits;
+    for (int b = 0; b < bytes; ++b) {
+      for (int i = 0; i < per_byte; ++i) {
+        bits.push_back(static_cast<uint16_t>(b * stride + i));
+      }
+    }
+    return bits;
+  };
+  std::vector<std::vector<uint16_t>> bit_sets = {
+      {3, 4, 6},                              // single mask, 8-bit
+      {3, 4, 6, 8, 9, 20, 40, 55, 61, 62},    // single mask, 16-bit
+      spread(20, 1, 3),                       // single mask, 32-bit
+      {0, 100, 200},                          // MM8, 8-bit
+      {0, 1, 2, 3, 100, 101, 200, 300, 400},  // MM8, 16-bit
+      spread(4, 5, 160),                      // MM8, 32-bit
+      spread(12, 1, 64),                      // MM16, 16-bit
+      spread(10, 2, 96),                      // MM16, 32-bit
+      spread(18, 1, 64),                      // MM32, 32-bit
+  };
+  SplitMix64 rng(17);
+  for (size_t t = 0; t < bit_sets.size(); ++t) {
+    const std::vector<uint16_t>& bits = bit_sets[t];
+    unsigned nbits = static_cast<unsigned>(bits.size());
+    ASSERT_EQ(ChooseNodeType(bits.data(), nbits), static_cast<NodeType>(t));
+    for (int shape = 0; shape < 8; ++shape) {
+      LogicalNode ln;
+      ln.height = 1;
+      ln.num_bits = nbits;
+      std::copy(bits.begin(), bits.end(), ln.bits);
+      unsigned max_count = std::min(nbits + 1, kMaxFanout);
+      ln.count = 2 + static_cast<unsigned>(rng.NextBounded(max_count - 1));
+      RandomLocalTrie(rng, nbits, 0, 0, 0, ln.count, ln.sparse);
+      for (unsigned i = 0; i < ln.count; ++i) {
+        ln.entries[i] = HotEntry::MakeTid(i);
+      }
+      NodeRef node = Track(Encode(ln, alloc_));
+      layouts.insert(node.type());
+      ExpectPhysicalMatchesLogical(node);
+    }
+  }
+  EXPECT_EQ(layouts.size(), kNumNodeTypes);
 }
 
 TEST(NodeAlloc, CounterTracksNodeBytes) {

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/extractors.h"
@@ -274,24 +276,52 @@ TEST(RowexHot, MemoryReclaimedAfterChurn) {
   }
 }
 
+// The tree as ForEachNode sees it: (depth, layout, entry count, height) of
+// every node, in visit order.
+template <typename Trie>
+std::vector<std::tuple<unsigned, NodeType, unsigned, unsigned>> Shape(
+    const Trie& trie) {
+  std::vector<std::tuple<unsigned, NodeType, unsigned, unsigned>> shape;
+  trie.ForEachNode([&](NodeRef node, unsigned depth) {
+    shape.emplace_back(depth, node.type(), node.count(), node.height());
+  });
+  return shape;
+}
+
 TEST(RowexHot, AgreesWithSingleThreadedStructureSemantics) {
   // After a fully serialized (single-threaded) workload, the ROWEX trie
-  // must contain exactly the same key set as the plain trie.
-  RowexU64 rowex;
-  HotTrie<U64KeyExtractor> plain;
-  SplitMix64 rng(29);
-  for (int i = 0; i < 20000; ++i) {
-    uint64_t v = rng.NextBounded(6000);
-    bool op_insert = rng.NextBounded(3) != 0;
-    if (op_insert) {
-      ASSERT_EQ(rowex.Insert(v), plain.Insert(v));
-    } else {
-      ASSERT_EQ(rowex.Remove(U64Key(v).ref()), plain.Remove(U64Key(v).ref()));
+  // must answer exactly like the plain trie and hold the same tree: the
+  // same node sequence at every checkpoint, over small (churning) to large
+  // key universes, with overwrites in the mix.
+  for (uint64_t universe : {600u, 6000u, 60000u}) {
+    RowexU64 rowex;
+    HotTrie<U64KeyExtractor> plain;
+    SplitMix64 rng(29 + universe);
+    for (int i = 1; i <= 30000; ++i) {
+      uint64_t v = rng.NextBounded(universe);
+      switch (rng.NextBounded(4)) {
+        case 0:
+          ASSERT_EQ(rowex.Remove(U64Key(v).ref()),
+                    plain.Remove(U64Key(v).ref()));
+          break;
+        case 1:
+          ASSERT_EQ(rowex.Upsert(v), plain.Upsert(v));
+          break;
+        default:
+          ASSERT_EQ(rowex.Insert(v), plain.Insert(v));
+          break;
+      }
+      if (i % 2500 == 0) {
+        ASSERT_EQ(rowex.size(), plain.size());
+        ASSERT_EQ(Shape(rowex), Shape(plain))
+            << "universe " << universe << ", after op " << i;
+        std::string err;
+        ASSERT_TRUE(rowex.Validate(&err)) << err;
+      }
     }
-  }
-  ASSERT_EQ(rowex.size(), plain.size());
-  for (auto it = plain.Begin(); it.valid(); it.Next()) {
-    ASSERT_TRUE(rowex.Lookup(U64Key(it.value()).ref()).has_value());
+    for (auto it = plain.Begin(); it.valid(); it.Next()) {
+      ASSERT_TRUE(rowex.Lookup(U64Key(it.value()).ref()).has_value());
+    }
   }
 }
 

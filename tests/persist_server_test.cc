@@ -2,8 +2,9 @@
 // loopback sockets (net/client.h).  Pins the restart contract — every
 // acked write before a clean Stop() is served after the next Start() — in
 // all three durability modes, the snapshot trigger + recovery path, the
-// manual TriggerSnapshot() hook, and that a bad data dir fails Start()
-// loudly instead of serving an empty non-durable index.
+// manual TriggerSnapshot() hook, and that a bad data dir or a recovered key
+// the index cannot hold fails Start() loudly instead of serving an empty
+// non-durable or a corrupt index.
 
 #include <unistd.h>
 
@@ -317,6 +318,47 @@ TEST(PersistServer, FullRecordStoreRefusesPutsWithoutLoggingThem) {
     EXPECT_FALSE(server.Start(&err));
     EXPECT_NE(err.find("capacity"), std::string::npos) << err;
   }
+}
+
+// The snapshot and WAL readers accept any CRC-valid key, so recovery must
+// refuse, in every build, a key whose escaped form the index cannot hold.
+TEST(PersistServer, OversizedSnapshotKeysFailStart) {
+  TempDir dir;
+  {
+    // Two 401-byte keys sharing a 400-byte prefix: their discriminative
+    // bit lies past the tries' 256-byte key space.
+    std::string a(400, 'k');
+    std::string b = a + 'b';
+    a += 'a';
+    persist::SnapshotWriter w;
+    std::string err;
+    ASSERT_TRUE(w.Open(persist::SnapshotPath(dir.path), &err)) << err;
+    ASSERT_TRUE(w.Add(K(a), 1));
+    ASSERT_TRUE(w.Add(K(b), 2));
+    ASSERT_TRUE(w.Finish(0, &err)) << err;
+  }
+  KvServer server(DurableServer(dir.path, persist::Durability::kSync));
+  std::string err;
+  EXPECT_FALSE(server.Start(&err));
+  EXPECT_NE(err.find("key of 401 bytes"), std::string::npos) << err;
+}
+
+TEST(PersistServer, OversizedWalKeyFailsStart) {
+  TempDir dir;
+  {
+    persist::Wal wal;
+    std::string err;
+    ASSERT_TRUE(wal.Open(dir.path, persist::WalResume(),
+                         persist::Wal::Options(), &err))
+        << err;
+    wal.Append(persist::kWalPut, K(Key(1)), 1);
+    wal.Append(persist::kWalPut, K(std::string(300, 'w')), 2);
+    wal.Close();
+  }
+  KvServer server(DurableServer(dir.path, persist::Durability::kSync));
+  std::string err;
+  EXPECT_FALSE(server.Start(&err));
+  EXPECT_NE(err.find("key of 300 bytes"), std::string::npos) << err;
 }
 
 TEST(PersistServer, BadDataDirFailsStartLoudly) {

@@ -1,8 +1,9 @@
-// Fault-injection tests for the copy-on-write insert/remove paths: arm
-// AllocFaultInjector so the Nth node allocation throws std::bad_alloc and
-// check that RowexHotTrie is exception-safe (a failed operation leaves the
-// tree unchanged and structurally valid) and leak-free (every byte the pool
-// accounted is returned by destruction, even after injected faults).
+// Fault-injection tests for the insert/remove paths: arm AllocFaultInjector
+// so the Nth node allocation throws std::bad_alloc and check that both
+// tries — HotTrie and RowexHotTrie share trie.h's node builders — are
+// exception-safe (a failed operation leaves the tree unchanged and
+// structurally valid) and leak-free (every byte the pool accounted is
+// returned by destruction, even after injected faults).
 //
 // The injector can also be armed at process start via HOT_ALLOC_FAIL_AT; the
 // programmatic FailAfter/Disarm API used here covers the same code path.
@@ -15,12 +16,13 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/extractors.h"
 #include "common/key.h"
-#include "common/rng.h"
 #include "hot/rowex.h"
+#include "hot/trie.h"
 
 namespace hot {
 namespace {
@@ -31,6 +33,21 @@ class AllocFaultTest : public ::testing::Test {
  protected:
   void TearDown() override { AllocFaultInjector::Disarm(); }
 };
+
+// The single-threaded sweeps run over both tries.
+template <typename Trie>
+class AllocFaultSweep : public AllocFaultTest {};
+
+using Tries = ::testing::Types<HotTrie<U64KeyExtractor>, RowexU64>;
+
+struct TrieName {
+  template <typename Trie>
+  static std::string GetName(int) {
+    return std::is_same_v<Trie, RowexU64> ? "RowexHotTrie" : "HotTrie";
+  }
+};
+
+TYPED_TEST_SUITE(AllocFaultSweep, Tries, TrieName);
 
 TEST_F(AllocFaultTest, InjectorFailsExactlyTheNthAllocation) {
   MemoryCounter counter;
@@ -53,11 +70,10 @@ TEST_F(AllocFaultTest, InjectorFailsExactlyTheNthAllocation) {
 // overflow chain (splits every ~32nd insert).  A failed insert must leave
 // the key absent, the size unchanged, and the structure valid; retrying
 // disarmed must succeed.
-TEST_F(AllocFaultTest, InsertIsExceptionSafeUnderInjectedFaults) {
+TYPED_TEST(AllocFaultSweep, InsertIsExceptionSafeUnderInjectedFaults) {
   MemoryCounter counter;
   {
-    RowexU64 trie(U64KeyExtractor(), &counter);
-    SplitMix64 rng(42);
+    TypeParam trie(U64KeyExtractor(), &counter);
     size_t faults = 0;
     for (uint64_t i = 0; i < 600; ++i) {
       uint64_t v = 1 + i * 37;
@@ -92,10 +108,10 @@ TEST_F(AllocFaultTest, InsertIsExceptionSafeUnderInjectedFaults) {
   EXPECT_EQ(counter.live_bytes(), 0u);
 }
 
-TEST_F(AllocFaultTest, RemoveIsExceptionSafeUnderInjectedFaults) {
+TYPED_TEST(AllocFaultSweep, RemoveIsExceptionSafeUnderInjectedFaults) {
   MemoryCounter counter;
   {
-    RowexU64 trie(U64KeyExtractor(), &counter);
+    TypeParam trie(U64KeyExtractor(), &counter);
     constexpr uint64_t kKeys = 600;
     for (uint64_t v = 1; v <= kKeys; ++v) ASSERT_TRUE(trie.Insert(v));
     size_t faults = 0;

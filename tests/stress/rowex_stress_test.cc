@@ -343,14 +343,14 @@ TEST(RowexStress, HotSpotChurn) {
   EXPECT_TRUE(trie.Validate(&err)) << err;
 }
 
-// Targeted regression for the Upsert retry path (rowex.h: TryOverwrite
-// returning "not found" means a concurrent Remove won the race, and the
-// upsert must restart as a fresh insert).  One upserter and one remover
-// hammer the SAME small key set, so nearly every upsert takes that
-// contested path.  Presence accounting: an upsert that returns nullopt is
-// an insert event (absent -> present), a successful remove is a delete
-// event (present -> absent), and overwrites don't change presence — so for
-// every key, at quiesce,
+// Targeted regression for the Upsert retry path (rowex.h: an overwrite
+// whose leaf slot changed after the descent found the key — a concurrent
+// Remove won the race — must restart, and may then insert the key
+// afresh).  One upserter and one remover hammer the SAME small key set, so
+// nearly every upsert takes that contested path.  Presence accounting: an
+// upsert that returns nullopt is an insert event (absent -> present), a
+// successful remove is a delete event (present -> absent), and overwrites
+// don't change presence — so for every key, at quiesce,
 //     inserts - removes ∈ {0, 1}   and   present == (inserts - removes).
 // A key present with inserts == removes RESURRECTED after a successful
 // Remove returned; a key absent with inserts == removes + 1 LOST an upsert.
