@@ -17,6 +17,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 // HOT_FORCE_SCALAR (CMake -DHOT_FORCE_SCALAR=ON) compiles the intrinsic
 // paths out even when the ISA is available, so sanitizer/CI builds actually
@@ -132,6 +133,44 @@ inline uint64_t LoadBigEndian64(const uint8_t* bytes) {
 inline void StoreBigEndian64(uint8_t* bytes, uint64_t value) {
   uint64_t word = __builtin_bswap64(value);
   __builtin_memcpy(bytes, &word, sizeof(word));
+}
+
+// The little-endian codec of the wire protocol (net/protocol.h), the WAL and
+// the snapshot file (persist/): appends to a byte vector, and loads from
+// unaligned bytes.
+inline void PutU16(std::vector<uint8_t>* out, uint16_t v) {
+  out->push_back(static_cast<uint8_t>(v));
+  out->push_back(static_cast<uint8_t>(v >> 8));
+}
+inline void PutU32(std::vector<uint8_t>* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+inline void PutU64(std::vector<uint8_t>* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+// Fixed-offset stores for encoders that size the whole frame up front
+// instead of appending byte by byte: one unaligned store each.
+inline void StoreU32(uint8_t* p, uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  __builtin_memcpy(p, &v, sizeof(v));
+}
+inline void StoreU64(uint8_t* p, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  __builtin_memcpy(p, &v, sizeof(v));
+}
+inline uint16_t GetU16(const uint8_t* p) {
+  return static_cast<uint16_t>(p[0] | (p[1] << 8));
+}
+inline uint32_t GetU32(const uint8_t* p) {
+  return p[0] | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
+         (uint32_t{p[3]} << 24);
+}
+inline uint64_t GetU64(const uint8_t* p) {
+  return GetU32(p) | (uint64_t{GetU32(p + 4)} << 32);
 }
 
 }  // namespace hot

@@ -194,7 +194,7 @@ class EpochManager {
   }
 
   // Telemetry (obs/telemetry.h): lifetime totals of retires and physical
-  // frees.  With HOT_STATS=OFF both read as zero.
+  // frees.
   uint64_t retired_total() const { return retired_total_.value(); }
   uint64_t reclaimed_total() const { return reclaimed_total_.value(); }
 

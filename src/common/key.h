@@ -117,56 +117,11 @@ inline void EncodeU64(uint64_t value, uint8_t out[8]) {
 inline uint64_t DecodeU64(const uint8_t in[8]) { return LoadBigEndian64(in); }
 
 // Zero-overhead stack buffer for an 8-byte big-endian integer key (the hot
-// path of every integer benchmark; KeyBuffer below is the general variant).
+// path of every integer benchmark).
 struct U64Key {
   uint8_t bytes[8];
   explicit U64Key(uint64_t value) { EncodeU64(value, bytes); }
   KeyRef ref() const { return KeyRef(bytes, 8); }
-};
-
-// Small owning key buffer used by front-ends that must append terminators
-// or encode integers without heap allocation for short keys.
-class KeyBuffer {
- public:
-  KeyBuffer() : size_(0) {}
-
-  static KeyBuffer FromU64(uint64_t value) {
-    KeyBuffer k;
-    EncodeU64(value, k.inline_);
-    k.size_ = 8;
-    return k;
-  }
-
-  // Copies `s` and appends a single 0x00 terminator.
-  static KeyBuffer FromStringTerminated(std::string_view s) {
-    KeyBuffer k;
-    k.Assign(reinterpret_cast<const uint8_t*>(s.data()), s.size(), true);
-    return k;
-  }
-
-  KeyRef ref() const {
-    return KeyRef(size_ <= kInlineCapacity ? inline_ : heap_.data(), size_);
-  }
-
- private:
-  static constexpr size_t kInlineCapacity = 24;
-
-  void Assign(const uint8_t* data, size_t n, bool terminate) {
-    size_ = n + (terminate ? 1 : 0);
-    uint8_t* dst;
-    if (size_ <= kInlineCapacity) {
-      dst = inline_;
-    } else {
-      heap_.assign(size_, 0);
-      dst = heap_.data();
-    }
-    std::memcpy(dst, data, n);
-    if (terminate) dst[n] = 0;
-  }
-
-  uint8_t inline_[kInlineCapacity];
-  std::basic_string<uint8_t> heap_;
-  size_t size_;
 };
 
 }  // namespace hot

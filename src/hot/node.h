@@ -201,7 +201,9 @@ inline constexpr size_t NodeBytes(NodeType t, unsigned count) {
 
 class NodeRef {
  public:
-  NodeRef() : base_(nullptr), type_(NodeType::kSingleMask8) {}
+  // Trivial, so that a search path (PathLevel[kMaxDepth]) is not zero-filled
+  // on every descent.
+  NodeRef() = default;
   NodeRef(void* base, NodeType type)
       : base_(static_cast<uint8_t*>(base)), type_(type) {}
 
@@ -215,7 +217,6 @@ class NodeRef {
     return HotEntry::MakeNode(base_, type_, NodeBytes(type_, count()));
   }
 
-  bool IsNull() const { return base_ == nullptr; }
   void* raw() const { return base_; }
   NodeType type() const { return type_; }
 

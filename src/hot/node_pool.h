@@ -156,7 +156,7 @@ class NodePool {
   // Telemetry (obs/telemetry.h): allocations served from a free list vs
   // bump-carved from an arena, plus cross-stripe steals (free-list hits
   // whose blocks were recycled by a *different* thread's stripe — the
-  // produce-here/free-there migration signal).  Zero with HOT_STATS=OFF.
+  // produce-here/free-there migration signal).
   struct Stats {
     uint64_t hits = 0;
     uint64_t carves = 0;

@@ -179,26 +179,16 @@ template <typename SlotLoad, typename KeyExtractor>
 // Ordered iteration
 // ---------------------------------------------------------------------------
 
-// In-order cursor over the tree below a root entry, holding the path from
-// the root to the current leaf.  HotTrie::Iterator is
-// HotCursor<PlainSlotLoad>; RowexHotTrie's scans run a
-// HotCursor<AcquireSlotLoad> under one epoch guard and see some consistent
-// recent state of each node they pass.  valid() while at an entry.
+// Forward cursor over the tree below a root entry, holding the path from
+// the root to the current leaf.  HotTrie's scans run a
+// HotCursor<PlainSlotLoad>; RowexHotTrie's run a HotCursor<AcquireSlotLoad>
+// under one epoch guard and see some consistent recent state of each node
+// they pass.  valid() while at an entry.
 template <typename SlotLoad>
 class HotCursor {
  public:
   bool valid() const { return current_ != HotEntry::kEmpty; }
   uint64_t value() const { return HotEntry::TidPayload(current_); }
-
-  // Positions at the minimum / maximum entry below `root`.
-  void SeekFirst(uint64_t root) {
-    depth_ = 0;
-    DescendEdge(root, /*leftmost=*/true);
-  }
-  void SeekLast(uint64_t root) {
-    depth_ = 0;
-    DescendEdge(root, /*leftmost=*/false);
-  }
 
   // Positions at the first entry with key >= `key`.
   template <typename KeyExtractor>
@@ -213,21 +203,6 @@ class HotCursor {
         ++top.idx;
         DescendEdge(SlotLoad::Load(&top.node.values()[top.idx]),
                     /*leftmost=*/true);
-        return;
-      }
-      --depth_;
-    }
-    current_ = HotEntry::kEmpty;
-  }
-
-  // Moves to the predecessor in key order; invalidates at the minimum.
-  void Prev() {
-    while (depth_ > 0) {
-      PathLevel& top = levels_[depth_ - 1];
-      if (top.idx > 0) {
-        --top.idx;
-        DescendEdge(SlotLoad::Load(&top.node.values()[top.idx]),
-                    /*leftmost=*/false);
         return;
       }
       --depth_;
@@ -586,39 +561,14 @@ class HotTrie {
     LookupBatchBelow<PlainSlotLoad>(root_, extractor_, keys, out, width);
   }
 
-  // Ordered iteration.  An Iterator is valid() while it points at an entry.
-  using Iterator = HotCursor<PlainSlotLoad>;
-  Iterator Begin() const {
-    Iterator it;
-    it.SeekFirst(root_);
-    return it;
-  }
-  // Iterator at the maximum key (for descending iteration via Prev()).
-  Iterator Last() const {
-    Iterator it;
-    it.SeekLast(root_);
-    return it;
-  }
-  // First entry with key >= `key`.
-  Iterator LowerBound(KeyRef key) const {
-    Iterator it;
-    it.SeekLowerBound(root_, key, extractor_);
-    return it;
-  }
-  // First entry with key > `key`.
-  Iterator UpperBound(KeyRef key) const;
-
   // Visits up to `limit` values with key >= `start` in key order; returns
   // the number visited (YCSB workload E short range scans).
   template <typename Fn>
   size_t ScanFrom(KeyRef start, size_t limit, Fn&& fn) const {
-    return LowerBound(start).Scan(limit, fn);
+    HotCursor<PlainSlotLoad> it;
+    it.SeekLowerBound(root_, start, extractor_);
+    return it.Scan(limit, fn);
   }
-
-  // Visits up to `limit` values with key <= `start` in DESCENDING key
-  // order (ORDER BY ... DESC paging).
-  template <typename Fn>
-  size_t ScanReverseFrom(KeyRef start, size_t limit, Fn&& fn) const;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -702,37 +652,6 @@ bool HotTrie<KeyExtractor>::Remove(KeyRef key) {
   }
   --size_;
   return true;
-}
-
-template <typename KeyExtractor>
-typename HotTrie<KeyExtractor>::Iterator HotTrie<KeyExtractor>::UpperBound(
-    KeyRef key) const {
-  Iterator it = LowerBound(key);
-  if (it.valid()) {
-    KeyScratch scratch;
-    if (extractor_(it.value(), scratch) == key) it.Next();
-  }
-  return it;
-}
-
-template <typename KeyExtractor>
-template <typename Fn>
-size_t HotTrie<KeyExtractor>::ScanReverseFrom(KeyRef start, size_t limit,
-                                              Fn&& fn) const {
-  // Position at the largest key <= start: the predecessor of UpperBound.
-  Iterator it = UpperBound(start);
-  if (!it.valid()) {
-    it = Last();
-  } else {
-    it.Prev();
-  }
-  size_t n = 0;
-  while (it.valid() && n < limit) {
-    fn(it.value());
-    ++n;
-    it.Prev();
-  }
-  return n;
 }
 
 }  // namespace hot

@@ -39,7 +39,6 @@ class KvClient {
 
   bool Connect(const std::string& host, uint16_t port, std::string* error);
   void Close();
-  bool connected() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
   // --- pipelined face --------------------------------------------------------

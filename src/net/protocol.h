@@ -52,12 +52,11 @@
 #ifndef HOT_NET_PROTOCOL_H_
 #define HOT_NET_PROTOCOL_H_
 
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/key.h"
 
 namespace hot {
@@ -97,44 +96,6 @@ inline constexpr size_t kDefaultMaxFrameBody = 1u << 20;
 // The server's cap on one SCAN request's limit operand.
 inline constexpr uint32_t kDefaultMaxScanLimit = 65536;
 
-// --- little-endian primitive accessors -------------------------------------
-
-inline void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-inline void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-inline void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-// Fixed-offset stores for the server's reply encoders, which size the
-// whole frame up front instead of appending byte by byte: one unaligned
-// store each.
-inline void StoreU32(uint8_t* p, uint32_t v) {
-  if constexpr (std::endian::native == std::endian::big) {
-    v = __builtin_bswap32(v);
-  }
-  std::memcpy(p, &v, sizeof(v));
-}
-inline void StoreU64(uint8_t* p, uint64_t v) {
-  if constexpr (std::endian::native == std::endian::big) {
-    v = __builtin_bswap64(v);
-  }
-  std::memcpy(p, &v, sizeof(v));
-}
-inline uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-inline uint32_t GetU32(const uint8_t* p) {
-  return p[0] | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
-         (uint32_t{p[3]} << 24);
-}
-inline uint64_t GetU64(const uint8_t* p) {
-  return GetU32(p) | (uint64_t{GetU32(p + 4)} << 32);
-}
-
 // --- request encoding (client side) ----------------------------------------
 
 namespace detail {
@@ -146,11 +107,8 @@ inline size_t BeginFrame(std::vector<uint8_t>* out, uint64_t id, uint8_t op) {
   return len_at;
 }
 inline void EndFrame(std::vector<uint8_t>* out, size_t len_at) {
-  uint32_t body = static_cast<uint32_t>(out->size() - len_at - 4);
-  (*out)[len_at] = static_cast<uint8_t>(body);
-  (*out)[len_at + 1] = static_cast<uint8_t>(body >> 8);
-  (*out)[len_at + 2] = static_cast<uint8_t>(body >> 16);
-  (*out)[len_at + 3] = static_cast<uint8_t>(body >> 24);
+  StoreU32(out->data() + len_at,
+           static_cast<uint32_t>(out->size() - len_at - 4));
 }
 inline void PutKey(std::vector<uint8_t>* out, KeyRef key) {
   PutU16(out, static_cast<uint16_t>(key.size()));
@@ -302,10 +260,7 @@ struct ScanReplyBuilder {
     ++count;
   }
   void Finish() {
-    (*out)[count_at] = static_cast<uint8_t>(count);
-    (*out)[count_at + 1] = static_cast<uint8_t>(count >> 8);
-    (*out)[count_at + 2] = static_cast<uint8_t>(count >> 16);
-    (*out)[count_at + 3] = static_cast<uint8_t>(count >> 24);
+    StoreU32(out->data() + count_at, count);
     detail::EndFrame(out, len_at);
   }
 };

@@ -776,10 +776,8 @@ bool KvServer::RecoverAndOpenWal(std::string* error) {
     ids.push_back(*id);
   }
 
-  unsigned threads = options_.recovery_threads != 0
-                         ? options_.recovery_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  index_->BulkLoad(ids.data(), n, threads);
+  index_->BulkLoad(ids.data(), n,
+                   std::max(1u, std::thread::hardware_concurrency()));
   auto t2 = Clock::now();
 
   recovery_.performed = true;

@@ -62,7 +62,6 @@ struct ServerOptions {
   // (checked periodically); 0 disables the trigger — snapshots then happen
   // only through TriggerSnapshot().
   uint64_t snapshot_trigger_bytes = 0;
-  unsigned recovery_threads = 0;  // bulk-build workers; 0 = hw concurrency
 };
 
 // What Start() found and rebuilt from the data directory; all zero/false
@@ -170,18 +169,12 @@ class KvServer {
   bool TriggerSnapshot(std::string* error);
   bool durable() const { return wal_ != nullptr; }
   const RecoveryInfo& recovery() const { return recovery_; }
-  uint64_t wal_durable_lsn() const {
-    return wal_ ? wal_->durable_lsn() : 0;
-  }
 
   // Runtime toggle of the GET drain mode (bench/net_throughput flips it
   // between phases so batched and scalar runs share one loaded server).
   // Takes effect from the next event-loop iteration.
   void set_force_scalar(bool v) {
     force_scalar_.store(v, std::memory_order_relaxed);
-  }
-  bool force_scalar() const {
-    return force_scalar_.load(std::memory_order_relaxed);
   }
 
  private:

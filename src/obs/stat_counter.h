@@ -1,14 +1,9 @@
-// Compile-gated statistics counters (observability tentpole, part 3).
+// Statistics counters (observability tentpole, part 3).
 //
 // `StatCounter` is the primitive every telemetry counter in the tree is
-// built from.  With `HOT_STATS` defined (the default build: CMake option
-// HOT_STATS=ON), it is a relaxed atomic increment — one uncontended
-// `lock xadd` on the *write* path only, never on lookups.  With the option
-// OFF the alias resolves to `NullStatCounter`, an empty constexpr type whose
-// methods compile to nothing, so instrumented code carries zero cost and
-// zero bytes.  tests/histogram_test.cc pins the no-op property down with
-// static_asserts against `NullStatCounter` directly, which is exactly the
-// type every counter becomes under -DHOT_STATS=OFF.
+// built from: a relaxed atomic increment — one uncontended `lock xadd` on
+// the *write* path only, never on lookups.  The counters are always on: their
+// measured overhead on lookups is within 3% (DESIGN.md §9).
 //
 // This header is dependency-free on purpose: common/epoch.h and
 // hot/node_pool.h include it, so it must not pull in any hot/ or ycsb/
@@ -23,15 +18,9 @@
 namespace hot {
 namespace obs {
 
-#if defined(HOT_STATS) && HOT_STATS
-inline constexpr bool kStatsEnabled = true;
-#else
-inline constexpr bool kStatsEnabled = false;
-#endif
-
 // Monotonic event counter; relaxed ordering is sufficient because every
 // consumer reads at a quiescent point (or tolerates slightly stale values).
-class AtomicStatCounter {
+class StatCounter {
  public:
   void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
@@ -39,18 +28,6 @@ class AtomicStatCounter {
  private:
   std::atomic<uint64_t> value_{0};
 };
-
-// The HOT_STATS=OFF twin: stateless, constexpr, guaranteed empty.
-struct NullStatCounter {
-  constexpr void Add(uint64_t = 1) const {}
-  constexpr uint64_t value() const { return 0; }
-};
-
-#if defined(HOT_STATS) && HOT_STATS
-using StatCounter = AtomicStatCounter;
-#else
-using StatCounter = NullStatCounter;
-#endif
 
 }  // namespace obs
 }  // namespace hot

@@ -1,7 +1,6 @@
 // Index telemetry (observability tentpole, part 3): cheap always-on
-// structural/runtime counters behind the HOT_STATS compile gate
-// (obs/stat_counter.h), plus a quiescent-only snapshot that folds in the
-// hot/stats.h node census.
+// structural/runtime counters (obs/stat_counter.h), plus a quiescent-only
+// snapshot that folds in the hot/stats.h node census.
 //
 // Three layers feed the snapshot:
 //   * RowexCounters — writer-path events inside hot/rowex.h: validation
@@ -35,8 +34,7 @@
 namespace hot {
 namespace obs {
 
-// Writer-path event counters embedded in RowexHotTrie.  With HOT_STATS=OFF
-// every member is a NullStatCounter and the whole block is dead code.
+// Writer-path event counters embedded in RowexHotTrie.
 struct RowexCounters {
   StatCounter writer_restarts;   // step-(c) validation failures → retry
   StatCounter cow_replacements;  // nodes superseded copy-on-write

@@ -48,9 +48,10 @@
 #include <string>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/key.h"
 #include "persist/crc32c.h"
-#include "persist/wal.h"  // detail::PutLE*/GetLE*/WriteAll/FsyncDir
+#include "persist/wal.h"  // detail::WriteAll/FsyncDir
 
 namespace hot {
 namespace persist {
@@ -108,9 +109,9 @@ class SnapshotWriter {
     }
     last_key_.assign(key.data(), key.data() + key.size());
     have_last_key_ = true;
-    detail::PutLE32(&block_, static_cast<uint32_t>(key.size()));
+    PutU32(&block_, static_cast<uint32_t>(key.size()));
     block_.insert(block_.end(), key.data(), key.data() + key.size());
-    detail::PutLE64(&block_, value);
+    PutU64(&block_, value);
     ++count_;
     if (block_.size() >= kSnapshotBlockTarget) return FlushBlock();
     return true;
@@ -126,14 +127,14 @@ class SnapshotWriter {
       return false;
     }
     std::vector<uint8_t> header;
-    detail::PutLE64(&header, kSnapshotMagic);
-    detail::PutLE32(&header, kSnapshotVersion);
-    detail::PutLE32(&header, 0);
-    detail::PutLE64(&header, count_);
-    detail::PutLE64(&header, last_lsn);
-    detail::PutLE64(&header, data_bytes_);
-    detail::PutLE32(&header, 0);
-    detail::PutLE32(&header, Crc32c(header.data(), header.size()));
+    PutU64(&header, kSnapshotMagic);
+    PutU32(&header, kSnapshotVersion);
+    PutU32(&header, 0);
+    PutU64(&header, count_);
+    PutU64(&header, last_lsn);
+    PutU64(&header, data_bytes_);
+    PutU32(&header, 0);
+    PutU32(&header, Crc32c(header.data(), header.size()));
     if (::pwrite(fd_, header.data(), header.size(), 0) !=
         static_cast<ssize_t>(header.size())) {
       bool r = Fail(error, tmp_path_ + ": header write");
@@ -179,8 +180,8 @@ class SnapshotWriter {
   bool FlushBlock() {
     std::vector<uint8_t> framed;
     framed.reserve(block_.size() + 8);
-    detail::PutLE32(&framed, static_cast<uint32_t>(block_.size()));
-    detail::PutLE32(&framed, Crc32c(block_.data(), block_.size()));
+    PutU32(&framed, static_cast<uint32_t>(block_.size()));
+    PutU32(&framed, Crc32c(block_.data(), block_.size()));
     framed.insert(framed.end(), block_.begin(), block_.end());
     if (!detail::WriteAll(fd_, framed.data(), framed.size())) {
       error_ = true;
@@ -233,18 +234,18 @@ class SnapshotReader {
     }
     ::madvise(map_, size_, MADV_SEQUENTIAL);
     const uint8_t* h = data();
-    if (detail::GetLE64(h) != kSnapshotMagic) {
+    if (GetU64(h) != kSnapshotMagic) {
       return Set(error, path + ": bad magic (not a snapshot)");
     }
-    if (detail::GetLE32(h + 8) != kSnapshotVersion) {
+    if (GetU32(h + 8) != kSnapshotVersion) {
       return Set(error, path + ": unsupported snapshot version");
     }
-    if (detail::GetLE32(h + 44) != Crc32c(h, 44)) {
+    if (GetU32(h + 44) != Crc32c(h, 44)) {
       return Set(error, path + ": header CRC mismatch");
     }
-    count_ = detail::GetLE64(h + 16);
-    last_lsn_ = detail::GetLE64(h + 24);
-    data_bytes_ = detail::GetLE64(h + 32);
+    count_ = GetU64(h + 16);
+    last_lsn_ = GetU64(h + 24);
+    data_bytes_ = GetU64(h + 32);
     if (kSnapshotHeaderBytes + data_bytes_ != size_) {
       return Set(error, path + ": size disagrees with header (truncated?)");
     }
@@ -262,8 +263,8 @@ class SnapshotReader {
     uint64_t seen = 0;
     while (p < end) {
       if (end - p < 8) return Set(error, path_ + ": truncated block header");
-      uint32_t len = detail::GetLE32(p);
-      uint32_t want = detail::GetLE32(p + 4);
+      uint32_t len = GetU32(p);
+      uint32_t want = GetU32(p + 4);
       if (len == 0 || len > kMaxSnapshotBlock ||
           static_cast<size_t>(end - p) < 8u + len) {
         return Set(error, path_ + ": invalid block length");
@@ -276,11 +277,11 @@ class SnapshotReader {
       const uint8_t* qend = payload + len;
       while (q < qend) {
         if (qend - q < 4) return Set(error, path_ + ": truncated record");
-        uint32_t klen = detail::GetLE32(q);
+        uint32_t klen = GetU32(q);
         if (static_cast<size_t>(qend - q) < 4u + klen + 8u) {
           return Set(error, path_ + ": record overruns its block");
         }
-        fn(KeyRef(q + 4, klen), detail::GetLE64(q + 4 + klen));
+        fn(KeyRef(q + 4, klen), GetU64(q + 4 + klen));
         ++seen;
         q += 4 + klen + 8;
       }

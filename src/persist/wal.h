@@ -60,6 +60,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/key.h"
 #include "persist/crc32c.h"
 
@@ -104,29 +105,6 @@ inline constexpr size_t kWalFrameHeaderBytes = 8;
 inline constexpr uint32_t kMaxWalBody = 1u << 20;
 
 namespace detail {
-
-inline void PutLE32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-inline void PutLE64(std::vector<uint8_t>* out, uint64_t v) {
-  PutLE32(out, static_cast<uint32_t>(v));
-  PutLE32(out, static_cast<uint32_t>(v >> 32));
-}
-
-inline uint32_t GetLE32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-inline uint64_t GetLE64(const uint8_t* p) {
-  return static_cast<uint64_t>(GetLE32(p)) |
-         (static_cast<uint64_t>(GetLE32(p + 4)) << 32);
-}
 
 inline bool WriteAll(int fd, const uint8_t* data, size_t n) {
   while (n > 0) {
@@ -256,15 +234,15 @@ WalReadResult ReadWalSegment(const std::string& path, Fn&& fn) {
     r.error = path + ": shorter than the segment header";
     return r;
   }
-  if (detail::GetLE64(data.data()) != kWalMagic) {
+  if (GetU64(data.data()) != kWalMagic) {
     r.error = path + ": bad magic (not a WAL segment)";
     return r;
   }
-  if (detail::GetLE32(data.data() + 8) != kWalVersion) {
+  if (GetU32(data.data() + 8) != kWalVersion) {
     r.error = path + ": unsupported WAL version";
     return r;
   }
-  if (detail::GetLE32(data.data() + 12) != Crc32c(data.data(), 12)) {
+  if (GetU32(data.data() + 12) != Crc32c(data.data(), 12)) {
     r.error = path + ": segment header CRC mismatch";
     return r;
   }
@@ -277,8 +255,8 @@ WalReadResult ReadWalSegment(const std::string& path, Fn&& fn) {
       r.torn = off != data.size();
       break;
     }
-    uint32_t body_len = detail::GetLE32(data.data() + off);
-    uint32_t want_crc = detail::GetLE32(data.data() + off + 4);
+    uint32_t body_len = GetU32(data.data() + off);
+    uint32_t want_crc = GetU32(data.data() + off + 4);
     if (body_len < 13 || body_len > kMaxWalBody ||
         off + kWalFrameHeaderBytes + body_len > data.size()) {
       r.torn = true;  // hostile length or truncated body
@@ -291,16 +269,16 @@ WalReadResult ReadWalSegment(const std::string& path, Fn&& fn) {
     }
     // Body: u64 lsn | u8 op | u32 klen | key | [u64 value].
     WalRecord rec;
-    rec.lsn = detail::GetLE64(body);
+    rec.lsn = GetU64(body);
     rec.op = body[8];
-    uint32_t klen = detail::GetLE32(body + 9);
+    uint32_t klen = GetU32(body + 9);
     size_t expect = 13u + klen + (rec.op == kWalPut ? 8u : 0u);
     if ((rec.op != kWalPut && rec.op != kWalDelete) || expect != body_len) {
       r.torn = true;  // a CRC-valid frame with an impossible body shape
       break;
     }
     rec.key = KeyRef(body + 13, klen);
-    if (rec.op == kWalPut) rec.value = detail::GetLE64(body + 13 + klen);
+    if (rec.op == kWalPut) rec.value = GetU64(body + 13 + klen);
     fn(static_cast<const WalRecord&>(rec));
     ++r.frames;
     r.last_lsn = rec.lsn;
@@ -387,20 +365,18 @@ class Wal {
     std::unique_lock<std::mutex> lk(mu_);
     uint64_t lsn = next_lsn_++;
     size_t before = pending_.size();
-    detail::PutLE32(&pending_, 0);  // body_len placeholder
-    detail::PutLE32(&pending_, 0);  // crc placeholder
+    PutU32(&pending_, 0);  // body_len placeholder
+    PutU32(&pending_, 0);  // crc placeholder
     size_t body_at = pending_.size();
-    detail::PutLE64(&pending_, lsn);
+    PutU64(&pending_, lsn);
     pending_.push_back(op);
-    detail::PutLE32(&pending_, static_cast<uint32_t>(key.size()));
+    PutU32(&pending_, static_cast<uint32_t>(key.size()));
     pending_.insert(pending_.end(), key.data(), key.data() + key.size());
-    if (op == kWalPut) detail::PutLE64(&pending_, value);
+    if (op == kWalPut) PutU64(&pending_, value);
     uint32_t body_len = static_cast<uint32_t>(pending_.size() - body_at);
     uint32_t crc = Crc32c(pending_.data() + body_at, body_len);
-    for (int b = 0; b < 4; ++b) {
-      pending_[before + b] = static_cast<uint8_t>(body_len >> (8 * b));
-      pending_[before + 4 + b] = static_cast<uint8_t>(crc >> (8 * b));
-    }
+    StoreU32(pending_.data() + before, body_len);
+    StoreU32(pending_.data() + before + 4, crc);
     last_appended_lsn_ = lsn;
     stats_.appends++;
     stats_.append_bytes += pending_.size() - before;
@@ -513,10 +489,6 @@ class Wal {
     }
   }
 
-  uint64_t last_appended_lsn() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return last_appended_lsn_;
-  }
   uint64_t durable_lsn() const {
     std::lock_guard<std::mutex> lk(mu_);
     return durable_lsn_;
@@ -534,7 +506,6 @@ class Wal {
     std::lock_guard<std::mutex> lk(mu_);
     return stats_;
   }
-  Durability durability() const { return options_.durability; }
 
  private:
   bool Fail(std::string* error, const std::string& what) {
@@ -546,9 +517,9 @@ class Wal {
     fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd_ < 0) return Fail(error, path + ": create");
     std::vector<uint8_t> header;
-    detail::PutLE64(&header, kWalMagic);
-    detail::PutLE32(&header, kWalVersion);
-    detail::PutLE32(&header, Crc32c(header.data(), 12));
+    PutU64(&header, kWalMagic);
+    PutU32(&header, kWalVersion);
+    PutU32(&header, Crc32c(header.data(), 12));
     if (!detail::WriteAll(fd_, header.data(), header.size())) {
       return Fail(error, path + ": header write");
     }

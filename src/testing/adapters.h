@@ -4,9 +4,9 @@
 // The differential executor (differ.h) drives any index exposing the shared
 // core — Insert(value) / Lookup(key) / Remove(key) / ScanFrom(start, limit,
 // fn) / size() — and uses these concepts to exercise optional surfaces where
-// they exist (Upsert, BulkLoad, iterator LowerBound, the batched lookups,
-// structural checkers) and to emulate them where they do not, so every index
-// answers every trace op.
+// they exist (Upsert, BulkLoad, structural checkers) and to emulate them
+// where they do not, so every index answers every trace op.  The batched
+// lookups are detected by ycsb::HasLookupBatch (ycsb/adapters.h).
 
 #ifndef HOT_TESTING_ADAPTERS_H_
 #define HOT_TESTING_ADAPTERS_H_
@@ -14,7 +14,6 @@
 #include <concepts>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -33,18 +32,6 @@ template <typename T>
 concept HasBulkLoad = requires(T& t, const std::vector<uint64_t>& vals) {
   t.BulkLoad(vals);
 };
-
-template <typename T>
-concept HasLowerBoundIter = requires(const T& t, KeyRef k) {
-  { t.LowerBound(k).valid() } -> std::convertible_to<bool>;
-};
-
-template <typename T>
-concept HasLookupBatch =
-    requires(const T& t, std::span<const KeyRef> keys,
-             std::span<std::optional<uint64_t>> out) {
-      t.LookupBatch(keys, out);
-    };
 
 // HOT tries expose their tagged root entry + extractor for the deep
 // structural audit (audit.h).
@@ -75,19 +62,13 @@ std::optional<uint64_t> IndexUpsert(Index& index, uint64_t value) {
   }
 }
 
-// First value with key >= `key`, through the iterator when the index has
-// one (exercising the LowerBound edge cases), else via a 1-element scan.
+// First value with key >= `key`: a 1-element scan, which positions every
+// index through its own lower-bound search.
 template <typename Index>
 std::optional<uint64_t> IndexLowerBound(const Index& index, KeyRef key) {
-  if constexpr (HasLowerBoundIter<Index>) {
-    auto it = index.LowerBound(key);
-    if (!it.valid()) return std::nullopt;
-    return it.value();
-  } else {
-    std::optional<uint64_t> out;
-    index.ScanFrom(key, 1, [&](uint64_t v) { out = v; });
-    return out;
-  }
+  std::optional<uint64_t> out;
+  index.ScanFrom(key, 1, [&](uint64_t v) { out = v; });
+  return out;
 }
 
 // Bulk-builds from values sorted ascending by key; falls back to an insert

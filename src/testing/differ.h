@@ -6,7 +6,7 @@
 //
 //   * insert/upsert/remove return values and size()
 //   * point lookups (hit and miss)
-//   * lower_bound (through the index's iterator where it has one)
+//   * lower_bound (a 1-element ScanFrom)
 //   * bounded ordered scans, element by element
 //   * at every audit op: the FULL ordered scan output, the batched lookup
 //     path (LookupBatch) over a ring of recently touched keys re-checked
@@ -26,6 +26,7 @@
 #include <functional>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "testing/adapters.h"
 #include "testing/audit.h"
 #include "testing/trace.h"
+#include "ycsb/adapters.h"
 
 namespace hot {
 namespace testing {
@@ -301,7 +303,7 @@ class TraceRunner {
       for (size_t i = 0; i < recent_.size(); ++i) {
         keys[i] = KeyAt(recent_[i], scratches[i]);
       }
-      if constexpr (HasLookupBatch<Index>) {
+      if constexpr (ycsb::HasLookupBatch<Index>) {
         std::vector<std::optional<uint64_t>> out(keys.size());
         index_.LookupBatch(std::span<const KeyRef>(keys),
                            std::span<std::optional<uint64_t>>(out));

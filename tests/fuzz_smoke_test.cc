@@ -111,7 +111,7 @@ TEST(FuzzSmoke, RowexConcurrentReaders) {
     SplitMix64 rng(seed);
     while (!done.load(std::memory_order_acquire)) {
       uint64_t probe = rng.NextBounded(kKeys) * 0x100003ULL;
-      KeyBuffer kb = KeyBuffer::FromU64(probe);
+      U64Key kb(probe);
       std::optional<uint64_t> hit = trie.Lookup(kb.ref());
       if (hit.has_value()) {
         // U64KeyExtractor keys are the value bytes: a hit must echo the
@@ -140,7 +140,7 @@ TEST(FuzzSmoke, RowexConcurrentReaders) {
     if (roll < 3) {
       trie.Insert(v);
     } else {
-      KeyBuffer kb = KeyBuffer::FromU64(v);
+      U64Key kb(v);
       trie.Remove(kb.ref());
     }
   }

@@ -1,8 +1,6 @@
 // obs/histogram.h: bucket mapping, percentile accuracy against exactly
-// sorted samples (uniform / Zipfian / bimodal), merge associativity,
-// concurrent lock-free recording, and the HOT_STATS=OFF no-op guarantee
-// (pinned at compile time against NullStatCounter — the exact type every
-// StatCounter becomes under -DHOT_STATS=OFF).
+// sorted samples (uniform / Zipfian / bimodal), merge associativity, and
+// concurrent lock-free recording.
 
 #include "obs/histogram.h"
 
@@ -11,33 +9,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
-#include "obs/stat_counter.h"
 
 namespace hot {
 namespace {
 
 using obs::LatencyHistogram;
-
-// --- compile-time no-op guarantee (HOT_STATS=OFF twin) ----------------------
-
-static_assert(std::is_empty_v<obs::NullStatCounter>,
-              "NullStatCounter must carry zero bytes");
-constexpr uint64_t NullCounterAfterAdds = [] {
-  obs::NullStatCounter c;
-  c.Add();
-  c.Add(1000);
-  return c.value();
-}();
-static_assert(NullCounterAfterAdds == 0,
-              "NullStatCounter::Add must compile to nothing");
-static_assert(obs::kStatsEnabled
-                  ? std::is_same_v<obs::StatCounter, obs::AtomicStatCounter>
-                  : std::is_same_v<obs::StatCounter, obs::NullStatCounter>,
-              "StatCounter alias must follow the HOT_STATS gate");
 
 // --- bucket mapping ---------------------------------------------------------
 

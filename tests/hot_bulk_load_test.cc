@@ -67,9 +67,9 @@ TEST_P(BulkLoadSizeTest, ValidAndComplete) {
   for (uint64_t v : values) {
     ASSERT_TRUE(trie.Lookup(U64Key(v).ref()).has_value()) << v;
   }
-  // In-order iteration equals the input.
+  // A full in-order scan equals the input.
   std::vector<uint64_t> got;
-  for (auto it = trie.Begin(); it.valid(); it.Next()) got.push_back(it.value());
+  trie.ScanFrom(KeyRef(), n + 1, [&](uint64_t v) { got.push_back(v); });
   EXPECT_EQ(got, values);
   // Height optimality: ceil(log32 n), +1 when the key distribution's
   // Patricia shape cannot be packed perfectly near a capacity boundary.

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "common/extractors.h"
@@ -20,6 +21,11 @@
 
 namespace hot {
 namespace {
+
+// Every descent declares a PathLevel[kMaxDepth] search path; a non-trivial
+// default constructor would zero-fill all of it before each one.
+static_assert(std::is_trivially_default_constructible_v<NodeRef>);
+static_assert(std::is_trivially_default_constructible_v<PathLevel>);
 
 class NodeTest : public ::testing::Test {
  protected:

@@ -54,9 +54,8 @@ TEST_P(HotSweepTest, InvariantsAndPatriciaAgreement) {
     ASSERT_TRUE(hot.Validate(&err)) << err;
     // Same members, same order.
     std::vector<uint64_t> hot_order, bin_order;
-    for (auto it = hot.Begin(); it.valid(); it.Next()) {
-      hot_order.push_back(it.value());
-    }
+    hot.ScanFrom(KeyRef(), hot.size() + 1,
+                 [&](uint64_t v) { hot_order.push_back(v); });
     bin.ForEachLeaf([&](size_t, uint64_t v) { bin_order.push_back(v); });
     ASSERT_EQ(hot_order, bin_order);
     // Random scans agree.
@@ -82,9 +81,8 @@ TEST_P(HotSweepTest, InvariantsAndPatriciaAgreement) {
     std::string err;
     ASSERT_TRUE(hot.Validate(&err)) << err;
     std::vector<uint64_t> hot_order, bin_order;
-    for (auto it = hot.Begin(); it.valid(); it.Next()) {
-      hot_order.push_back(it.value());
-    }
+    hot.ScanFrom(KeyRef(), hot.size() + 1,
+                 [&](uint64_t v) { hot_order.push_back(v); });
     bin.ForEachLeaf([&](size_t, uint64_t v) { bin_order.push_back(v); });
     ASSERT_EQ(hot_order, bin_order);
     std::vector<uint64_t> sorted = ds_.ints;

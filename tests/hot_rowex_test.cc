@@ -319,9 +319,9 @@ TEST(RowexHot, AgreesWithSingleThreadedStructureSemantics) {
         ASSERT_TRUE(rowex.Validate(&err)) << err;
       }
     }
-    for (auto it = plain.Begin(); it.valid(); it.Next()) {
-      ASSERT_TRUE(rowex.Lookup(U64Key(it.value()).ref()).has_value());
-    }
+    plain.ScanFrom(KeyRef(), plain.size(), [&](uint64_t v) {
+      EXPECT_TRUE(rowex.Lookup(U64Key(v).ref()).has_value()) << v;
+    });
   }
 }
 

@@ -1,6 +1,6 @@
 // Differential, property and invariant tests for the single-threaded HOT
 // trie: random operation sequences against std::map oracles, structural
-// validation after mutations, iteration/lower-bound semantics, the §3.3
+// validation after mutations, scan/lower-bound semantics, the §3.3
 // determinism conjecture, and memory accounting.
 
 #include "hot/trie.h"
@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,14 +17,13 @@
 #include "common/extractors.h"
 #include "common/rng.h"
 #include "hot/stats.h"
+#include "testing/adapters.h"
 
 namespace hot {
 namespace {
 
 using U64Hot = HotTrie<U64KeyExtractor>;
 using StringHot = HotTrie<StringTableExtractor>;
-
-KeyBuffer U64Key(uint64_t v) { return KeyBuffer::FromU64(v); }
 
 void ExpectValid(const U64Hot& trie) {
   std::string err;
@@ -169,7 +169,7 @@ TEST(HotTrie, UpsertReplacesValue) {
   EXPECT_EQ(trie.size(), 3u);
 }
 
-TEST(HotTrie, IterationIsSorted) {
+TEST(HotTrie, FullScanIsSorted) {
   U64Hot trie;
   std::set<uint64_t> oracle;
   SplitMix64 rng(41);
@@ -179,7 +179,8 @@ TEST(HotTrie, IterationIsSorted) {
     oracle.insert(v);
   }
   std::vector<uint64_t> got;
-  for (auto it = trie.Begin(); it.valid(); it.Next()) got.push_back(it.value());
+  trie.ScanFrom(KeyRef(), trie.size() + 1,
+                [&](uint64_t v) { got.push_back(v); });
   std::vector<uint64_t> want(oracle.begin(), oracle.end());
   EXPECT_EQ(got, want);
 }
@@ -195,20 +196,16 @@ TEST(HotTrie, LowerBoundMatchesOracle) {
   }
   for (int probe = 0; probe < 3000; ++probe) {
     uint64_t start = rng.NextBounded(1u << 20) + (probe % 2);  // hit and miss
-    auto it = trie.LowerBound(U64Key(start).ref());
     auto oit = oracle.lower_bound(start);
-    if (oit == oracle.end()) {
-      EXPECT_FALSE(it.valid()) << start;
-    } else {
-      ASSERT_TRUE(it.valid()) << start;
-      EXPECT_EQ(it.value(), *oit) << start;
-    }
+    std::optional<uint64_t> want;
+    if (oit != oracle.end()) want = *oit;
+    EXPECT_EQ(testing::IndexLowerBound(trie, U64Key(start).ref()), want)
+        << start;
   }
   // Bounds below the minimum and above the maximum.
-  auto it = trie.LowerBound(U64Key(0).ref());
-  ASSERT_TRUE(it.valid());
-  EXPECT_EQ(it.value(), *oracle.begin());
-  EXPECT_FALSE(trie.LowerBound(U64Key(~0ULL >> 1).ref()).valid());
+  EXPECT_EQ(testing::IndexLowerBound(trie, U64Key(0).ref()), *oracle.begin());
+  EXPECT_FALSE(
+      testing::IndexLowerBound(trie, U64Key(~0ULL >> 1).ref()).has_value());
 }
 
 TEST(HotTrie, ScanFromMatchesOracle) {
@@ -256,11 +253,10 @@ TEST(HotTrie, StringKeysSharedPrefixes) {
     ASSERT_TRUE(got.has_value()) << table[i];
     EXPECT_EQ(*got, i);
   }
-  // Iteration yields lexicographic order.
+  // A full scan yields lexicographic order.
   std::vector<std::string> got;
-  for (auto it = trie.Begin(); it.valid(); it.Next()) {
-    got.push_back(table[it.value()]);
-  }
+  trie.ScanFrom(KeyRef(), trie.size() + 1,
+                [&](uint64_t v) { got.push_back(table[v]); });
   std::vector<std::string> want = table;
   std::sort(want.begin(), want.end());
   EXPECT_EQ(got, want);

@@ -112,21 +112,11 @@ TEST(EncodeU64, PreservesOrder) {
   }
 }
 
-TEST(KeyBuffer, FromU64AndString) {
-  KeyBuffer k = KeyBuffer::FromU64(0x0102030405060708ULL);
+TEST(U64Key, BigEndianBytes) {
+  U64Key k(0x0102030405060708ULL);
   EXPECT_EQ(k.ref().size(), 8u);
   EXPECT_EQ(k.ref()[0], 0x01);
   EXPECT_EQ(k.ref()[7], 0x08);
-
-  KeyBuffer s = KeyBuffer::FromStringTerminated("hello");
-  EXPECT_EQ(s.ref().size(), 6u);
-  EXPECT_EQ(s.ref()[5], 0u);
-
-  std::string longstr(100, 'z');
-  KeyBuffer l = KeyBuffer::FromStringTerminated(longstr);
-  EXPECT_EQ(l.ref().size(), 101u);
-  EXPECT_EQ(l.ref()[99], 'z');
-  EXPECT_EQ(l.ref()[100], 0u);
 }
 
 TEST(Extractors, U64KeyExtractor) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "obs/stat_counter.h"
 
 namespace hot {
 namespace {
@@ -109,13 +108,10 @@ TEST(NodePool, CrossThreadFreeIsStolenBack) {
   // migrated blocks would hold ~12 chunks of bump arena for them alone.
   // Stealing keeps it to at most one warm-up chunk per stripe.
   EXPECT_LE(pool.ArenaBytes(), NodePool::kStripes * NodePool::kChunkBytes);
-  if constexpr (obs::kStatsEnabled) {
-    NodePool::Stats s = pool.stats();
-    EXPECT_GT(s.steals, 0u);
-    EXPECT_LE(s.steals, s.hits);
-    EXPECT_EQ(s.hits + s.carves,
-              static_cast<uint64_t>(kBlocks) * kRounds);
-  }
+  NodePool::Stats s = pool.stats();
+  EXPECT_GT(s.steals, 0u);
+  EXPECT_LE(s.steals, s.hits);
+  EXPECT_EQ(s.hits + s.carves, static_cast<uint64_t>(kBlocks) * kRounds);
 }
 
 // Cross-thread interleaving under contention: every thread both allocates
@@ -146,12 +142,9 @@ TEST(NodePool, ConcurrentCrossThreadExchange) {
   void* last = exchange.exchange(nullptr, std::memory_order_acq_rel);
   if (last != nullptr) pool.FreeAligned(last, kBytes, 16);
   EXPECT_EQ(counter.live_bytes(), 0u);
-  if constexpr (obs::kStatsEnabled) {
-    NodePool::Stats s = pool.stats();
-    EXPECT_EQ(s.hits + s.carves,
-              static_cast<uint64_t>(kThreads) * kOps);
-    EXPECT_LE(s.steals, s.hits);
-  }
+  NodePool::Stats s = pool.stats();
+  EXPECT_EQ(s.hits + s.carves, static_cast<uint64_t>(kThreads) * kOps);
+  EXPECT_LE(s.steals, s.hits);
 }
 
 TEST(NodePool, ConcurrentAllocFree) {

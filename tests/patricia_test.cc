@@ -20,8 +20,6 @@ namespace {
 using U64Patricia = PatriciaTrie<U64KeyExtractor>;
 using StringPatricia = PatriciaTrie<StringTableExtractor>;
 
-KeyBuffer U64Key(uint64_t v) { return KeyBuffer::FromU64(v); }
-
 TEST(Patricia, EmptyTrie) {
   U64Patricia trie;
   EXPECT_TRUE(trie.empty());

@@ -51,7 +51,6 @@ ServerOptions DurableServer(const std::string& dir,
   opt.data_dir = dir;
   opt.durability = durability;
   opt.wal_flush_ms = 5;
-  opt.recovery_threads = 2;
   return opt;
 }
 

@@ -4,7 +4,7 @@
 // pool accounting covering every allocated node, and the epoch-reclamation
 // chain cow_replacements >= nodes_retired >= nodes_reclaimed with the
 // obsolete-node backlog draining to exactly zero after a quiesced
-// CollectAll.  Counter-based assertions are gated on HOT_STATS.
+// CollectAll.
 
 #include "obs/telemetry.h"
 
@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "hot/rowex.h"
 #include "hot/trie.h"
-#include "obs/stat_counter.h"
 
 namespace hot {
 namespace {
@@ -67,21 +66,16 @@ TEST(Telemetry, HotTrieCensusAndPool) {
   EXPECT_EQ(s.nodes_retired, 0u);
   EXPECT_EQ(s.retire_backlog, 0u);
 
-  if constexpr (obs::kStatsEnabled) {
-    // Every live node came out of the pool, either from a free list or a
-    // fresh arena carve — and growth reallocations mean strictly more
-    // allocations than live nodes.
-    EXPECT_GT(s.pool_hits + s.pool_carves, s.census.nodes);
-    EXPECT_GT(s.pool_carves, 0u);
-    EXPECT_GT(s.pool_hits, 0u);  // 50k inserts certainly recycle nodes
-    // A steal is a flavor of free-list hit, never a separate allocation —
-    // and a single-threaded run stays entirely within one stripe.
-    EXPECT_LE(s.pool_steals, s.pool_hits);
-    EXPECT_EQ(s.pool_steals, 0u);
-  } else {
-    EXPECT_EQ(s.pool_hits + s.pool_carves, 0u);
-    EXPECT_EQ(s.pool_steals, 0u);
-  }
+  // Every live node came out of the pool, either from a free list or a
+  // fresh arena carve — and growth reallocations mean strictly more
+  // allocations than live nodes.
+  EXPECT_GT(s.pool_hits + s.pool_carves, s.census.nodes);
+  EXPECT_GT(s.pool_carves, 0u);
+  EXPECT_GT(s.pool_hits, 0u);  // 50k inserts certainly recycle nodes
+  // A steal is a flavor of free-list hit, never a separate allocation —
+  // and a single-threaded run stays entirely within one stripe.
+  EXPECT_LE(s.pool_steals, s.pool_hits);
+  EXPECT_EQ(s.pool_steals, 0u);
 }
 
 TEST(Telemetry, SummaryMentionsEveryField) {
@@ -135,24 +129,20 @@ TEST(Telemetry, RowexInvariantChainUnderStress) {
   ASSERT_GT(live, 0u);
   CheckCensus(s, live);
 
-  if constexpr (obs::kStatsEnabled) {
-    EXPECT_GT(s.cow_replacements, 0u);
-    EXPECT_GE(s.cow_replacements, s.nodes_retired);
-    EXPECT_GE(s.nodes_retired, s.nodes_reclaimed);
-    EXPECT_EQ(s.retire_backlog, s.nodes_retired - s.nodes_reclaimed);
-    // Lag is bounded by the epoch clock itself.
-    EXPECT_LE(s.reclamation_lag, s.global_epoch);
-  }
+  EXPECT_GT(s.cow_replacements, 0u);
+  EXPECT_GE(s.cow_replacements, s.nodes_retired);
+  EXPECT_GE(s.nodes_retired, s.nodes_reclaimed);
+  EXPECT_EQ(s.retire_backlog, s.nodes_retired - s.nodes_reclaimed);
+  // Lag is bounded by the epoch clock itself.
+  EXPECT_LE(s.reclamation_lag, s.global_epoch);
 
   // Drain limbo: with no writer in an epoch, everything must reclaim.
   trie.epochs()->CollectAll();
   obs::TelemetrySnapshot after = obs::CollectTelemetry(trie);
   EXPECT_EQ(after.retire_backlog, 0u);
   EXPECT_EQ(after.reclamation_lag, 0u);
-  if constexpr (obs::kStatsEnabled) {
-    EXPECT_EQ(after.nodes_reclaimed, after.nodes_retired);
-    EXPECT_EQ(after.nodes_retired, s.nodes_retired);  // quiesced: no growth
-  }
+  EXPECT_EQ(after.nodes_reclaimed, after.nodes_retired);
+  EXPECT_EQ(after.nodes_retired, s.nodes_retired);  // quiesced: no growth
 
   // The census must be untouched by reclamation (limbo nodes were already
   // unreachable).
@@ -178,15 +168,13 @@ TEST(Telemetry, RowexSingleThreadedCountersMoveAsExpected) {
   obs::TelemetrySnapshot s = obs::CollectTelemetry(trie);
   CheckCensus(s, oracle.size());
 
-  if constexpr (obs::kStatsEnabled) {
-    // Uncontended: no validation restarts, but plenty of structural events.
-    EXPECT_EQ(s.writer_restarts, 0u);
-    EXPECT_GT(s.cow_replacements, 0u);
-    EXPECT_GT(s.leaf_pushdowns, 0u);
-    EXPECT_GT(s.fast_splices, 0u);
-    EXPECT_GE(s.cow_replacements, s.nodes_retired);
-    EXPECT_EQ(s.retire_backlog, s.nodes_retired - s.nodes_reclaimed);
-  }
+  // Uncontended: no validation restarts, but plenty of structural events.
+  EXPECT_EQ(s.writer_restarts, 0u);
+  EXPECT_GT(s.cow_replacements, 0u);
+  EXPECT_GT(s.leaf_pushdowns, 0u);
+  EXPECT_GT(s.fast_splices, 0u);
+  EXPECT_GE(s.cow_replacements, s.nodes_retired);
+  EXPECT_EQ(s.retire_backlog, s.nodes_retired - s.nodes_reclaimed);
 }
 
 }  // namespace

@@ -33,12 +33,12 @@ struct U64Adapter {
 
   bool Insert(uint64_t v) { return index.Insert(v); }
   bool Contains(uint64_t v) {
-    return index.Lookup(KeyBuffer::FromU64(v).ref()).has_value();
+    return index.Lookup(U64Key(v).ref()).has_value();
   }
-  bool Remove(uint64_t v) { return index.Remove(KeyBuffer::FromU64(v).ref()); }
+  bool Remove(uint64_t v) { return index.Remove(U64Key(v).ref()); }
   std::vector<uint64_t> Scan(uint64_t start, size_t limit) {
     std::vector<uint64_t> out;
-    index.ScanFrom(KeyBuffer::FromU64(start).ref(), limit,
+    index.ScanFrom(U64Key(start).ref(), limit,
                    [&](uint64_t v) { out.push_back(v); });
     return out;
   }
@@ -51,12 +51,12 @@ struct PatriciaU64Adapter {
 
   bool Insert(uint64_t v) { return index.Insert(v); }
   bool Contains(uint64_t v) {
-    return index.Lookup(KeyBuffer::FromU64(v).ref()).has_value();
+    return index.Lookup(U64Key(v).ref()).has_value();
   }
-  bool Remove(uint64_t v) { return index.Remove(KeyBuffer::FromU64(v).ref()); }
+  bool Remove(uint64_t v) { return index.Remove(U64Key(v).ref()); }
   std::vector<uint64_t> Scan(uint64_t start, size_t limit) {
     std::vector<uint64_t> out;
-    index.ScanFrom(KeyBuffer::FromU64(start).ref(), [&](uint64_t v) {
+    index.ScanFrom(U64Key(start).ref(), [&](uint64_t v) {
       out.push_back(v);
       return out.size() < limit;
     });
