@@ -27,7 +27,7 @@ namespace {
 // layout, plus a batch of random probe keys.
 struct NodeFixture {
   MemoryCounter counter;
-  CountingAllocator alloc{&counter};
+  NodePool alloc{&counter};
   NodeRef node;
   std::vector<std::array<uint8_t, 64>> keys;
 

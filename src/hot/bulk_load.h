@@ -22,18 +22,17 @@
 // discriminative bits — each piece is a complete Patricia subtrie of the
 // key set — so pieces are independent build units.  The driver expands the
 // top of the recursion serially into a plan tree (pure binary searches, no
-// allocation), hands the leaf ranges to N workers that each build through
-// their own pinned node-pool stripe (first-touch pages, no cross-thread
-// contention), then grafts the finished subtrie roots under the internal
-// compound nodes serially, bottom-up.  Because the partition and the
-// per-piece recursion are byte-for-byte the serial algorithm, the parallel
-// output has the same logical structure — same nodes, same heights, same
-// key→value map — as a serial build of the same input (DESIGN.md §11).
+// allocation), hands the leaf ranges to N workers, then grafts the
+// finished subtrie roots under the internal compound nodes serially,
+// bottom-up.  Because the partition and the per-piece recursion are
+// byte-for-byte the serial algorithm, the parallel output has the same
+// logical structure — same nodes, same heights, same key→value map — as a
+// serial build of the same input (DESIGN.md §11).
 //
-// Allocation: a BulkBuilder pins the caller's pool stripe at construction
-// (NodePool::StripeRef), so a build never migrates stripes mid-flight no
-// matter how CurrentThreadIndex is assigned, and parallel workers get
-// disjoint stripes by id.
+// Allocation: every node comes from the trie's NodePool, on the building
+// thread's own stripe.  Each parallel worker is a freshly started thread,
+// so (up to NodePool::kStripes workers) each carves from and first-touches
+// its own bump arena, with no cross-thread contention.
 //
 // Duplicate keys: the sorted input must be duplicate-free; a duplicate is
 // detected (adjacent equal keys always reach a shared Mismatch) and
@@ -74,15 +73,9 @@ struct BulkRange {
 template <typename KeyExtractor>
 class BulkBuilder {
  public:
-  // Pins the calling thread's stripe for the whole build.
   BulkBuilder(const KeyExtractor& extractor, const uint64_t* values, size_t n,
               NodePool& alloc)
-      : BulkBuilder(extractor, values, n, alloc.CallerStripe()) {}
-
-  // Explicit stripe: parallel workers pass disjoint StripeAt(worker) refs.
-  BulkBuilder(const KeyExtractor& extractor, const uint64_t* values, size_t n,
-              NodePool::StripeRef stripe)
-      : extractor_(extractor), values_(values), n_(n), alloc_(stripe) {}
+      : extractor_(extractor), values_(values), n_(n), alloc_(alloc) {}
 
   // Returns the root entry for values_[0..n), which must be sorted by key
   // and duplicate-free.
@@ -272,7 +265,7 @@ class BulkBuilder {
   const KeyExtractor& extractor_;
   const uint64_t* values_;
   size_t n_;
-  NodePool::StripeRef alloc_;
+  NodePool& alloc_;
 };
 
 // Parallel bottom-up build: same output structure as a serial BulkBuilder
@@ -285,8 +278,8 @@ class BulkBuilder {
 //                        Pieces at or below the grain become leaf tasks.
 //   Phase 2 (parallel) — workers claim leaf tasks (largest first, via an
 //                        atomic cursor) and run the ordinary serial
-//                        recursion on them, allocating through their own
-//                        pinned pool stripe.
+//                        recursion on them, allocating from their own
+//                        thread's pool stripe.
 //   Phase 3 (serial)   — graft: internal plan nodes are encoded bottom-up
 //                        over their children's finished entries, exactly as
 //                        BuildRange would have after its recursive calls.
@@ -337,6 +330,7 @@ uint64_t ParallelBulkBuild(const KeyExtractor& extractor,
   std::sort(tasks.begin(), tasks.end(),
             [](const LeafTask& a, const LeafTask& b) { return a.size > b.size; });
 
+  // At most kStripes workers, so freshly started ones get distinct stripes.
   const unsigned workers = static_cast<unsigned>(std::min<size_t>(
       {threads, tasks.size(), NodePool::kStripes}));
   std::atomic<size_t> cursor{0};
@@ -345,10 +339,9 @@ uint64_t ParallelBulkBuild(const KeyExtractor& extractor,
   crew.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
     crew.emplace_back([&, w] {
-      // Disjoint stripe per worker: every node this worker builds is
-      // carved from (and first-touched in) its own bump arena.
-      BulkBuilder<KeyExtractor> builder(extractor, values, n,
-                                        pool.StripeAt(w));
+      // A fresh thread, so a stripe of its own: every node this worker
+      // builds is carved from (and first-touched in) its own bump arena.
+      BulkBuilder<KeyExtractor> builder(extractor, values, n, pool);
       try {
         for (;;) {
           size_t t = cursor.fetch_add(1, std::memory_order_relaxed);

@@ -138,10 +138,9 @@ inline bool LayoutStableWithNewBit(NodeRef node, unsigned p) {
 // tagged entry, or HotEntry::kEmpty when the general path must run
 // (overflow or layout change).  `info` comes from PhysicalBitRank +
 // PhysicalAffectedRange; `key_bit` is the new key's bit at the mismatch.
-template <typename Alloc>
 inline uint64_t TryPhysicalInsert(NodeRef node, const PhysicalInsertInfo& info,
                                   unsigned p, unsigned key_bit, uint64_t tid,
-                                  Alloc& alloc) {
+                                  NodePool& alloc) {
   unsigned count = node.count();
   if (count >= kMaxFanout) return HotEntry::kEmpty;
   if (!info.exists && !LayoutStableWithNewBit(node, p)) {

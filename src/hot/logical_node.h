@@ -101,8 +101,7 @@ inline NodeType ChooseNodeType(const uint16_t* bits, unsigned num_bits) {
 }
 
 // Encodes a logical node into a fresh physical node (copy-on-write).
-template <typename Alloc>
-inline NodeRef Encode(const LogicalNode& ln, Alloc& alloc) {
+inline NodeRef Encode(const LogicalNode& ln, NodePool& alloc) {
   assert(ln.count >= 2 && ln.count <= kMaxFanout);
   assert(ln.num_bits >= 1 && ln.num_bits <= kMaxDiscBits);
   NodeType type = ChooseNodeType(ln.bits, ln.num_bits);

@@ -24,10 +24,10 @@
 #include <cstdint>
 #include <cstring>
 
-#include "common/alloc.h"
 #include "common/bits.h"
 #include "common/locks.h"
 #include "common/simd.h"
+#include "hot/node_pool.h"
 
 namespace hot {
 
@@ -315,16 +315,15 @@ inline void PrefetchNode(uint64_t entry) {
 // ---------------------------------------------------------------------------
 
 // Tagged pointers use 4 low bits for the node type, so 16-byte alignment
-// suffices (AVX2 kernels use unaligned loads).
+// suffices (AVX2 kernels use unaligned loads).  Every node comes from a
+// NodePool (node_pool.h), whose blocks are that aligned.
 inline constexpr size_t kNodeAlignment = 16;
+static_assert(NodePool::kGranularity % kNodeAlignment == 0);
 
-// `Alloc` is anything exposing AllocateAligned/FreeAligned — the general
-// CountingAllocator or the insert-path NodePool (node_pool.h).
-template <typename Alloc>
-inline NodeRef AllocateNode(Alloc& alloc, NodeType type, unsigned count,
+inline NodeRef AllocateNode(NodePool& alloc, NodeType type, unsigned count,
                             unsigned height, unsigned num_bits) {
   size_t bytes = NodeBytes(type, count);
-  void* mem = alloc.AllocateAligned(bytes, kNodeAlignment);
+  void* mem = alloc.Allocate(bytes);
   // Only the header and the mask section need zeroing: Encode builds masks
   // with |=, overwrites every partial key and value, and search results are
   // intersected with the used-entries mask, so partial-key padding may hold
@@ -345,9 +344,8 @@ inline NodeRef AllocateNode(Alloc& alloc, NodeType type, unsigned count,
   return node;
 }
 
-template <typename Alloc>
-inline void FreeNode(Alloc& alloc, NodeRef node) {
-  alloc.FreeAligned(node.raw(), node.SizeBytes(), kNodeAlignment);
+inline void FreeNode(NodePool& alloc, NodeRef node) {
+  alloc.Free(node.raw(), node.SizeBytes());
 }
 
 }  // namespace hot

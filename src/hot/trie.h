@@ -25,14 +25,15 @@
 // are not shrunk), which only makes overflow handling slightly more
 // conservative.
 //
-// Every algorithm below is written once and reads child slots through a
-// slot-load policy (hot/batch_lookup.h).  HotTrie runs them with
-// PlainSlotLoad.  RowexHotTrie (hot/rowex.h) runs them with AcquireSlotLoad
-// and adds only §5's protocol: an epoch guard around reads, and lock ->
-// validate -> publish -> retire around the writes that the insert planner
-// and the builders here describe.  Node contents other than the value
-// slots are immutable once a node is published, so slot loads are the only
-// reads the two tries do differently.
+// Every algorithm below is written and compiled once: it reads child slots
+// through one acquire load (LoadSlot, hot/batch_lookup.h) and allocates and
+// frees nodes through a NodePool (hot/node_pool.h).  HotTrie and
+// RowexHotTrie (hot/rowex.h) run the same code and differ only in their
+// key extractors; RowexHotTrie adds only §5's protocol: an epoch guard
+// around reads, and lock -> validate -> publish -> retire around the writes
+// that the insert planner and the builders here describe.  Node contents
+// other than the value slots are immutable once a node is published, so
+// the acquire slot loads are the only synchronization readers need.
 
 #ifndef HOT_HOT_TRIE_H_
 #define HOT_HOT_TRIE_H_
@@ -80,19 +81,17 @@ inline uint64_t* SlotAbove(uint64_t* root, const PathLevel* path,
 }
 
 // Descends from `root` to the terminal entry (tid or empty) for `key`.
-template <typename SlotLoad>
 inline uint64_t Descend(uint64_t root, KeyRef key) {
   uint64_t cur = root;
   while (HotEntry::IsNode(cur)) {
     PrefetchNode(cur);
     NodeRef node = NodeRef::FromEntry(cur);
-    cur = SlotLoad::Load(&node.values()[SearchNode(node, key)]);
+    cur = LoadSlot(&node.values()[SearchNode(node, key)]);
   }
   return cur;
 }
 
 // The same descent, recording the nodes it passes in path[0..*depth).
-template <typename SlotLoad>
 inline uint64_t DescendRecording(uint64_t root, KeyRef key, PathLevel* path,
                                  unsigned* depth) {
   unsigned d = 0;
@@ -102,7 +101,7 @@ inline uint64_t DescendRecording(uint64_t root, KeyRef key, PathLevel* path,
     NodeRef node = NodeRef::FromEntry(cur);
     unsigned idx = SearchNode(node, key);
     path[d++] = {node, idx};
-    cur = SlotLoad::Load(&node.values()[idx]);
+    cur = LoadSlot(&node.values()[idx]);
   }
   *depth = d;
   return cur;
@@ -148,7 +147,7 @@ inline std::optional<uint64_t> VerifyTerminal(const KeyExtractor& extractor,
 // `width` descents in flight.  Always inlined, so each trie's LookupBatch
 // stays one function, with RowexHotTrie's epoch guard in the same frame as
 // the staging, which is how the served GET drain calls it.
-template <typename SlotLoad, typename KeyExtractor>
+template <typename KeyExtractor>
 [[gnu::always_inline]] inline void LookupBatchBelow(
     uint64_t root, const KeyExtractor& extractor, std::span<const KeyRef> keys,
     std::span<std::optional<uint64_t>> out, unsigned width) {
@@ -169,7 +168,7 @@ template <typename SlotLoad, typename KeyExtractor>
     heap_buf.resize(n);
     terminal = heap_buf.data();
   }
-  BatchDescend<SlotLoad>(root, keys.data(), n, terminal, width);
+  BatchDescend(root, keys.data(), n, terminal, width);
   for (size_t i = 0; i < n; ++i) {
     out[i] = VerifyTerminal(extractor, terminal[i], keys[i]);
   }
@@ -180,11 +179,9 @@ template <typename SlotLoad, typename KeyExtractor>
 // ---------------------------------------------------------------------------
 
 // Forward cursor over the tree below a root entry, holding the path from
-// the root to the current leaf.  HotTrie's scans run a
-// HotCursor<PlainSlotLoad>; RowexHotTrie's run a HotCursor<AcquireSlotLoad>
-// under one epoch guard and see some consistent recent state of each node
-// they pass.  valid() while at an entry.
-template <typename SlotLoad>
+// the root to the current leaf.  Both tries' scans run one; RowexHotTrie's
+// run under one epoch guard and see some consistent recent state of each
+// node they pass.  valid() while at an entry.
 class HotCursor {
  public:
   bool valid() const { return current_ != HotEntry::kEmpty; }
@@ -201,8 +198,7 @@ class HotCursor {
       PathLevel& top = levels_[depth_ - 1];
       if (top.idx + 1 < top.node.count()) {
         ++top.idx;
-        DescendEdge(SlotLoad::Load(&top.node.values()[top.idx]),
-                    /*leftmost=*/true);
+        DescendEdge(LoadSlot(&top.node.values()[top.idx]), /*leftmost=*/true);
         return;
       }
       --depth_;
@@ -228,7 +224,7 @@ class HotCursor {
       NodeRef node = NodeRef::FromEntry(entry);
       unsigned idx = leftmost ? 0 : node.count() - 1;
       levels_[depth_++] = {node, idx};
-      entry = SlotLoad::Load(&node.values()[idx]);
+      entry = LoadSlot(&node.values()[idx]);
     }
     current_ = entry;
   }
@@ -238,12 +234,11 @@ class HotCursor {
   uint64_t current_ = HotEntry::kEmpty;
 };
 
-template <typename SlotLoad>
 template <typename KeyExtractor>
-void HotCursor<SlotLoad>::SeekLowerBound(uint64_t root, KeyRef key,
-                                         const KeyExtractor& extractor) {
+void HotCursor::SeekLowerBound(uint64_t root, KeyRef key,
+                               const KeyExtractor& extractor) {
   // Blind descent recording the path.
-  current_ = DescendRecording<SlotLoad>(root, key, levels_, &depth_);
+  current_ = DescendRecording(root, key, levels_, &depth_);
   if (HotEntry::IsEmpty(current_)) return;
   KeyScratch scratch;
   KeyRef cand = extractor(HotEntry::TidPayload(current_), scratch);
@@ -266,13 +261,11 @@ void HotCursor<SlotLoad>::SeekLowerBound(uint64_t root, KeyRef key,
   if (key.Bit(p) == 0) {
     // key < all affected entries: lower bound is the subtree's minimum.
     levels_[depth_++] = {tnode, range.first};
-    DescendEdge(SlotLoad::Load(&tnode.values()[range.first]),
-                /*leftmost=*/true);
+    DescendEdge(LoadSlot(&tnode.values()[range.first]), /*leftmost=*/true);
   } else {
     // key > all affected entries: successor of the subtree's maximum.
     levels_[depth_++] = {tnode, range.last};
-    DescendEdge(SlotLoad::Load(&tnode.values()[range.last]),
-                /*leftmost=*/false);
+    DescendEdge(LoadSlot(&tnode.values()[range.last]), /*leftmost=*/false);
     Next();
   }
 }
@@ -322,10 +315,10 @@ struct InsertPlan {
 // Plans inserting `key` below `root` (empty, a leaf or a node).  Returns
 // false if the key is present: plan->leaf then holds it, in the slot
 // SlotAbove(plan->depth).
-template <typename SlotLoad, typename KeyExtractor>
+template <typename KeyExtractor>
 inline bool PlanInsert(uint64_t root, KeyRef key,
                        const KeyExtractor& extractor, InsertPlan* plan) {
-  plan->leaf = DescendRecording<SlotLoad>(root, key, plan->path, &plan->depth);
+  plan->leaf = DescendRecording(root, key, plan->path, &plan->depth);
   plan->pushdown = true;
   if (HotEntry::IsEmpty(plan->leaf)) return true;
   KeyScratch scratch;
@@ -361,9 +354,8 @@ inline bool PlanInsert(uint64_t root, KeyRef key,
 
 // The entry that replaces the leaf of a `pushdown` plan: the tid itself in
 // an empty tree, else a height-1 node over the leaf and the tid.
-template <typename Alloc>
 inline uint64_t BuildPushdown(const InsertPlan& plan, uint64_t tid,
-                              Alloc& alloc) {
+                              NodePool& alloc) {
   if (HotEntry::IsEmpty(plan.leaf)) return tid;
   LogicalNode two = plan.key_bit
                         ? MakeTwoEntryNode(plan.bit, plan.leaf, tid, 1)
@@ -386,9 +378,8 @@ struct Replacement {
 // plain loads, so a concurrent caller must hold their locks.
 // Exception-safe: if an allocation throws, every node built so far is
 // freed, and the tree is untouched.
-template <typename Alloc>
 inline Replacement BuildInsert(const InsertPlan& plan, uint64_t tid,
-                               Alloc& alloc) {
+                               NodePool& alloc) {
   unsigned level = plan.target;
   NodeRef tnode = plan.path[level].node;
   uint64_t fast =
@@ -445,8 +436,7 @@ inline Replacement BuildInsert(const InsertPlan& plan, uint64_t tid,
 // Normal delete: the entry that replaces `owner`'s node once its entry at
 // owner.idx is gone.  A node left with a single entry collapses into it
 // (the k-constraint demands >= 2 entries = >= 1 BiNode per node).
-template <typename Alloc>
-inline uint64_t BuildRemove(const PathLevel& owner, Alloc& alloc) {
+inline uint64_t BuildRemove(const PathLevel& owner, NodePool& alloc) {
   LogicalNode ln = Decode(owner.node);
   RemoveEntry(ln, owner.idx);
   return ln.count == 1 ? ln.entries[0] : Encode(ln, alloc).ToEntry();
@@ -483,8 +473,7 @@ inline void VisitLeaves(uint64_t entry, unsigned depth,
   }
 }
 
-template <typename Alloc>
-inline void FreeSubtree(uint64_t entry, Alloc& alloc) {
+inline void FreeSubtree(uint64_t entry, NodePool& alloc) {
   if (!HotEntry::IsNode(entry)) return;
   NodeRef node = NodeRef::FromEntry(entry);
   for (unsigned i = 0; i < node.count(); ++i) {
@@ -548,7 +537,7 @@ class HotTrie {
   // --- queries ---------------------------------------------------------------
 
   std::optional<uint64_t> Lookup(KeyRef key) const {
-    return VerifyTerminal(extractor_, Descend<PlainSlotLoad>(root_, key), key);
+    return VerifyTerminal(extractor_, Descend(root_, key), key);
   }
 
   // Batched point lookups with memory-level parallelism (batch_lookup.h):
@@ -558,14 +547,14 @@ class HotTrie {
   void LookupBatch(std::span<const KeyRef> keys,
                    std::span<std::optional<uint64_t>> out,
                    unsigned width = kDefaultBatchWidth) const {
-    LookupBatchBelow<PlainSlotLoad>(root_, extractor_, keys, out, width);
+    LookupBatchBelow(root_, extractor_, keys, out, width);
   }
 
   // Visits up to `limit` values with key >= `start` in key order; returns
   // the number visited (YCSB workload E short range scans).
   template <typename Fn>
   size_t ScanFrom(KeyRef start, size_t limit, Fn&& fn) const {
-    HotCursor<PlainSlotLoad> it;
+    HotCursor it;
     it.SeekLowerBound(root_, start, extractor_);
     return it.Scan(limit, fn);
   }
@@ -619,7 +608,7 @@ std::optional<uint64_t> HotTrie<KeyExtractor>::Put(uint64_t value,
   KeyRef key = InsertKey(extractor_, value, scratch);
   uint64_t tid = HotEntry::MakeTid(value);
   InsertPlan plan;
-  if (!PlanInsert<PlainSlotLoad>(root_, key, extractor_, &plan)) {
+  if (!PlanInsert(root_, key, extractor_, &plan)) {
     if (overwrite) *SlotAbove(&root_, plan.path, plan.depth) = tid;
     return HotEntry::TidPayload(plan.leaf);
   }
@@ -641,7 +630,7 @@ template <typename KeyExtractor>
 bool HotTrie<KeyExtractor>::Remove(KeyRef key) {
   PathLevel path[kMaxDepth];
   unsigned depth;
-  uint64_t leaf = DescendRecording<PlainSlotLoad>(root_, key, path, &depth);
+  uint64_t leaf = DescendRecording(root_, key, path, &depth);
   if (!VerifyTerminal(extractor_, leaf, key)) return false;
   if (depth == 0) {
     root_ = HotEntry::kEmpty;

@@ -23,35 +23,35 @@ TEST(NodePool, AlignmentAndWritability) {
   SplitMix64 rng(1);
   for (int i = 0; i < 1000; ++i) {
     size_t bytes = 16 + rng.NextBounded(500);
-    void* p = pool.AllocateAligned(bytes, 16);
+    void* p = pool.Allocate(bytes);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 16, 0u);
     std::memset(p, 0xCD, bytes);
     blocks.push_back({p, bytes});
   }
-  for (auto [p, bytes] : blocks) pool.FreeAligned(p, bytes, 16);
+  for (auto [p, bytes] : blocks) pool.Free(p, bytes);
   EXPECT_EQ(counter.live_bytes(), 0u);
 }
 
 TEST(NodePool, RecyclesFreedBlocks) {
   NodePool pool(nullptr);
-  void* a = pool.AllocateAligned(100, 16);
-  pool.FreeAligned(a, 100, 16);
+  void* a = pool.Allocate(100);
+  pool.Free(a, 100);
   // Same size class: the freed block comes back.
-  void* b = pool.AllocateAligned(97, 16);
+  void* b = pool.Allocate(97);
   EXPECT_EQ(a, b);
-  pool.FreeAligned(b, 97, 16);
+  pool.Free(b, 97);
   // Different class: a different block.
-  void* c = pool.AllocateAligned(500, 16);
+  void* c = pool.Allocate(500);
   EXPECT_NE(a, c);
-  pool.FreeAligned(c, 500, 16);
+  pool.Free(c, 500);
 }
 
 TEST(NodePool, CountsRoundedClassBytes) {
   MemoryCounter counter;
   NodePool pool(&counter);
-  void* p = pool.AllocateAligned(33, 16);  // class rounds to 48
+  void* p = pool.Allocate(33);  // class rounds to 48
   EXPECT_EQ(counter.live_bytes(), 48u);
-  pool.FreeAligned(p, 33, 16);
+  pool.Free(p, 33);
   EXPECT_EQ(counter.live_bytes(), 0u);
 }
 
@@ -63,7 +63,7 @@ TEST(NodePool, DistinctLiveBlocksNeverAlias) {
   for (int i = 0; i < 20000; ++i) {
     if (blocks.empty() || rng.NextBounded(3) != 0) {
       size_t bytes = 16 + rng.NextBounded(400);
-      void* p = pool.AllocateAligned(bytes, 16);
+      void* p = pool.Allocate(bytes);
       ASSERT_TRUE(live.insert(reinterpret_cast<uintptr_t>(p)).second);
       blocks.push_back({p, bytes});
     } else {
@@ -72,7 +72,7 @@ TEST(NodePool, DistinctLiveBlocksNeverAlias) {
       blocks[idx] = blocks.back();
       blocks.pop_back();
       live.erase(reinterpret_cast<uintptr_t>(p));
-      pool.FreeAligned(p, bytes, 16);
+      pool.Free(p, bytes);
     }
   }
 }
@@ -94,12 +94,12 @@ TEST(NodePool, CrossThreadFreeIsStolenBack) {
     std::thread producer([&] {
       batch.clear();
       for (size_t i = 0; i < kBlocks; ++i) {
-        batch.push_back(pool.AllocateAligned(kBytes, 16));
+        batch.push_back(pool.Allocate(kBytes));
       }
     });
     producer.join();
     std::thread consumer([&] {
-      for (void* p : batch) pool.FreeAligned(p, kBytes, 16);
+      for (void* p : batch) pool.Free(p, kBytes);
     });
     consumer.join();
   }
@@ -130,17 +130,17 @@ TEST(NodePool, ConcurrentCrossThreadExchange) {
     threads.emplace_back([&pool, &exchange, t] {
       SplitMix64 rng(100 + t);
       for (int i = 0; i < kOps; ++i) {
-        void* mine = pool.AllocateAligned(kBytes, 16);
+        void* mine = pool.Allocate(kBytes);
         std::memset(mine, t + 1, kBytes);
         // Swap into the shared slot; free whatever another thread left.
         void* theirs = exchange.exchange(mine, std::memory_order_acq_rel);
-        if (theirs != nullptr) pool.FreeAligned(theirs, kBytes, 16);
+        if (theirs != nullptr) pool.Free(theirs, kBytes);
       }
     });
   }
   for (auto& th : threads) th.join();
   void* last = exchange.exchange(nullptr, std::memory_order_acq_rel);
-  if (last != nullptr) pool.FreeAligned(last, kBytes, 16);
+  if (last != nullptr) pool.Free(last, kBytes);
   EXPECT_EQ(counter.live_bytes(), 0u);
   NodePool::Stats s = pool.stats();
   EXPECT_EQ(s.hits + s.carves, static_cast<uint64_t>(kThreads) * kOps);
@@ -159,7 +159,7 @@ TEST(NodePool, ConcurrentAllocFree) {
       for (int i = 0; i < 20000; ++i) {
         if (mine.empty() || rng.NextBounded(2) == 0) {
           size_t bytes = 16 + rng.NextBounded(300);
-          void* p = pool.AllocateAligned(bytes, 16);
+          void* p = pool.Allocate(bytes);
           // Blocks are thread-private while allocated: stamp + verify.
           std::memset(p, t + 1, bytes);
           mine.push_back({p, bytes});
@@ -170,10 +170,10 @@ TEST(NodePool, ConcurrentAllocFree) {
                     static_cast<unsigned char>(t + 1));
           ASSERT_EQ(static_cast<unsigned char*>(p)[bytes - 1],
                     static_cast<unsigned char>(t + 1));
-          pool.FreeAligned(p, bytes, 16);
+          pool.Free(p, bytes);
         }
       }
-      for (auto [p, bytes] : mine) pool.FreeAligned(p, bytes, 16);
+      for (auto [p, bytes] : mine) pool.Free(p, bytes);
     });
   }
   for (auto& th : threads) th.join();
