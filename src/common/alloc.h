@@ -26,7 +26,6 @@ class AllocFaultInjector {
   static void FailAfter(uint64_t nth) {
     Countdown().store(nth, std::memory_order_relaxed);
   }
-  static void Disarm() { FailAfter(0); }
   static bool armed() {
     return Countdown().load(std::memory_order_relaxed) != 0;
   }
@@ -54,68 +53,48 @@ class AllocFaultInjector {
   }
 };
 
-// Tracks live bytes and allocation counts.  Thread-safe (relaxed atomics:
-// counters are statistics, not synchronization).
+// Tracks live bytes.  Thread-safe (a relaxed atomic: the counter is a
+// statistic, not synchronization).
 class MemoryCounter {
  public:
   void OnAlloc(size_t bytes) {
     live_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    total_allocs_.fetch_add(1, std::memory_order_relaxed);
   }
   void OnFree(size_t bytes) {
     live_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-    total_frees_.fetch_add(1, std::memory_order_relaxed);
   }
 
   size_t live_bytes() const {
     return live_bytes_.load(std::memory_order_relaxed);
   }
-  size_t total_allocs() const {
-    return total_allocs_.load(std::memory_order_relaxed);
-  }
-  size_t total_frees() const {
-    return total_frees_.load(std::memory_order_relaxed);
-  }
 
-  void Reset() {
-    live_bytes_.store(0, std::memory_order_relaxed);
-    total_allocs_.store(0, std::memory_order_relaxed);
-    total_frees_.store(0, std::memory_order_relaxed);
-  }
+  void Reset() { live_bytes_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<size_t> live_bytes_{0};
-  std::atomic<size_t> total_allocs_{0};
-  std::atomic<size_t> total_frees_{0};
 };
 
-// Aligned allocation with size bookkeeping.  The requested size is stamped
-// into a prefix word so frees do not need the caller to remember it.
-// `alignment` must be a power of two >= alignof(max_align_t) is NOT required;
-// any power of two >= 8 works.
+// Aligned allocation counted in a MemoryCounter: the baselines' node
+// allocator.  `alignment` is any power of two; the caller passes the same
+// size and alignment to FreeAligned, and the counter sees the requested
+// size.
 class CountingAllocator {
  public:
   explicit CountingAllocator(MemoryCounter* counter) : counter_(counter) {}
 
   void* AllocateAligned(size_t bytes, size_t alignment) {
     AllocFaultInjector::MaybeFail();
-    // Reserve one alignment-sized slot in front of the returned pointer for
-    // the size stamp, so the user pointer keeps the requested alignment.
-    size_t header = alignment >= sizeof(size_t) ? alignment : sizeof(size_t);
-    size_t total = header + bytes;
-    void* raw = std::aligned_alloc(alignment, RoundUp(total, alignment));
-    if (raw == nullptr) throw std::bad_alloc();
-    *static_cast<size_t*>(raw) = total;
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    void* ptr = std::aligned_alloc(alignment, RoundUp(bytes, alignment));
+    if (ptr == nullptr) throw std::bad_alloc();
     if (counter_ != nullptr) counter_->OnAlloc(bytes);
-    return static_cast<uint8_t*>(raw) + header;
+    return ptr;
   }
 
-  void FreeAligned(void* ptr, size_t bytes, size_t alignment) {
+  void FreeAligned(void* ptr, size_t bytes, size_t /*alignment*/) {
     if (ptr == nullptr) return;
-    size_t header = alignment >= sizeof(size_t) ? alignment : sizeof(size_t);
-    void* raw = static_cast<uint8_t*>(ptr) - header;
     if (counter_ != nullptr) counter_->OnFree(bytes);
-    std::free(raw);
+    std::free(ptr);
   }
 
   MemoryCounter* counter() const { return counter_; }

@@ -16,6 +16,7 @@
 #define HOT_COMMON_BITS_H_
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,14 +70,6 @@ inline uint64_t Pext64(uint64_t value, uint64_t mask) {
 #endif
 }
 
-inline uint64_t Pdep64(uint64_t value, uint64_t mask) {
-#if HOT_HAVE_BMI2
-  return _pdep_u64(value, mask);
-#else
-  return PdepScalar(value, mask);
-#endif
-}
-
 inline uint32_t Pext32(uint32_t value, uint32_t mask) {
 #if HOT_HAVE_BMI2
   return _pext_u32(value, mask);
@@ -108,10 +101,6 @@ inline unsigned BitScanForward32(uint32_t value) {
   return static_cast<unsigned>(std::countr_zero(value));
 }
 
-inline unsigned BitScanForward64(uint64_t value) {
-  return static_cast<unsigned>(std::countr_zero(value));
-}
-
 inline unsigned Popcount64(uint64_t value) {
   return static_cast<unsigned>(std::popcount(value));
 }
@@ -136,20 +125,10 @@ inline void StoreBigEndian64(uint8_t* bytes, uint64_t value) {
 }
 
 // The little-endian codec of the wire protocol (net/protocol.h), the WAL and
-// the snapshot file (persist/): appends to a byte vector, and loads from
-// unaligned bytes.
-inline void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-inline void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-inline void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-// Fixed-offset stores for encoders that size the whole frame up front
-// instead of appending byte by byte: one unaligned store each.
+// the snapshot file (persist/).
+//
+// Fixed-offset stores, for encoders that size the whole frame up front:
+// one unaligned store each.
 inline void StoreU32(uint8_t* p, uint32_t v) {
   if constexpr (std::endian::native == std::endian::big) {
     v = __builtin_bswap32(v);
@@ -162,6 +141,24 @@ inline void StoreU64(uint8_t* p, uint64_t v) {
   }
   __builtin_memcpy(p, &v, sizeof(v));
 }
+// Appends to a byte vector: one resize and one fixed-offset store each.
+inline void PutU16(std::vector<uint8_t>* out, uint16_t v) {
+  size_t at = out->size();
+  out->resize(at + sizeof(v));
+  out->data()[at] = static_cast<uint8_t>(v);
+  out->data()[at + 1] = static_cast<uint8_t>(v >> 8);
+}
+inline void PutU32(std::vector<uint8_t>* out, uint32_t v) {
+  size_t at = out->size();
+  out->resize(at + sizeof(v));
+  StoreU32(out->data() + at, v);
+}
+inline void PutU64(std::vector<uint8_t>* out, uint64_t v) {
+  size_t at = out->size();
+  out->resize(at + sizeof(v));
+  StoreU64(out->data() + at, v);
+}
+// Loads from unaligned bytes.
 inline uint16_t GetU16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] | (p[1] << 8));
 }

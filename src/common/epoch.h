@@ -11,7 +11,7 @@
 //   {
 //     EpochGuard guard(&epochs);        // pins the current epoch
 //     ... read or modify the tree ...
-//     epochs.Retire(ptr, deleter);      // defer free of a replaced node
+//     epochs.Retire(ptr, deleter, ctx); // defer free of a replaced node
 //   }                                    // unpins; may trigger collection
 //
 // The design follows the classic three-epoch scheme (Fraser; also used by
@@ -124,10 +124,11 @@ class EpochManager {
     MaybeCollect(slot);
   }
 
-  // Defers destruction of `ptr` until no thread can still observe it.  The
-  // caller must have unlinked `ptr` (made it unreachable to new readers)
-  // before the call.
-  void Retire(void* ptr, void (*deleter)(void*)) {
+  // Defers destruction of `ptr` until no thread can still observe it: then
+  // calls deleter(ptr, ctx).  `ctx` (say, the pool `ptr` came from) must
+  // outlive the manager's last collection.  The caller must have unlinked
+  // `ptr` (made it unreachable to new readers) before the call.
+  void Retire(void* ptr, void (*deleter)(void* ptr, void* ctx), void* ctx) {
     size_t slot = RegisterThread();
     auto& local = limbo_[slot];
     // This fence pairs with the one in Enter; of the two, one comes first
@@ -146,7 +147,7 @@ class EpochManager {
     //    they see the unlink, and `ptr` is out of their reach.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     local.items.push_back(
-        {ptr, deleter, global_epoch_.load(std::memory_order_acquire)});
+        {ptr, ctx, deleter, global_epoch_.load(std::memory_order_acquire)});
     retired_total_.Add();
     if (local.items.size() >= kCollectThreshold) {
       AdvanceEpoch();
@@ -162,7 +163,7 @@ class EpochManager {
     for (size_t i = 0; i < local.items.size(); ++i) {
       const auto& item = local.items[i];
       if (item.epoch + 2 <= min_active || min_active == kIdle) {
-        item.deleter(item.ptr);
+        item.deleter(item.ptr, item.ctx);
         reclaimed_total_.Add();
       } else {
         local.items[kept++] = item;
@@ -176,7 +177,7 @@ class EpochManager {
   void CollectAll() {
     for (size_t s = 0; s < kMaxThreads; ++s) {
       for (const auto& item : limbo_[s].items) {
-        item.deleter(item.ptr);
+        item.deleter(item.ptr, item.ctx);
         reclaimed_total_.Add();
       }
       limbo_[s].items.clear();
@@ -233,7 +234,8 @@ class EpochManager {
 
   struct Retired {
     void* ptr;
-    void (*deleter)(void*);
+    void* ctx;
+    void (*deleter)(void* ptr, void* ctx);
     uint64_t epoch;
   };
 

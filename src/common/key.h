@@ -59,10 +59,6 @@ class KeyRef {
     return (data_[byte] >> (7 - (pos & 7))) & 1u;
   }
 
-  std::string_view ToStringView() const {
-    return {reinterpret_cast<const char*>(data_), size_};
-  }
-
   int Compare(KeyRef other) const {
     size_t n = size_ < other.size_ ? size_ : other.size_;
     int c = n == 0 ? 0 : std::memcmp(data_, other.data_, n);
@@ -113,8 +109,6 @@ inline size_t FirstMismatchBit(KeyRef a, KeyRef b) {
 inline void EncodeU64(uint64_t value, uint8_t out[8]) {
   StoreBigEndian64(out, value);
 }
-
-inline uint64_t DecodeU64(const uint8_t in[8]) { return LoadBigEndian64(in); }
 
 // Zero-overhead stack buffer for an 8-byte big-endian integer key (the hot
 // path of every integer benchmark).

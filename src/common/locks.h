@@ -71,10 +71,6 @@ class RowexLockWord {
     return (word_.load(std::memory_order_acquire) & kObsoleteBit) != 0;
   }
 
-  bool IsLocked() const {
-    return (word_.load(std::memory_order_acquire) & kLockedBit) != 0;
-  }
-
  private:
   static constexpr unsigned kSpinsBeforeYield = 128;
 

@@ -57,7 +57,7 @@ struct ServerOptions {
   // its reply; `durability` sets the ack contract (persist/wal.h).
   std::string data_dir;
   persist::Durability durability = persist::Durability::kSync;
-  unsigned wal_flush_ms = 50;  // async flusher cadence (kAsync loss bound)
+  unsigned wal_flush_ms = 50;  // WAL flusher cadence (none/async loss bound)
   // Auto-snapshot once the current WAL segment exceeds this many bytes
   // (checked periodically); 0 disables the trigger — snapshots then happen
   // only through TriggerSnapshot().

@@ -65,19 +65,12 @@ struct TelemetrySnapshot {
   // Structure (hot/stats.h census): per-layout node counts, bytes, fill.
   NodeCensus census;
 
-  // Entries stored per kMaxFanout-slot node, tree-wide and per layout.
+  // Entries stored per kMaxFanout-slot node, tree-wide.
   double FillFactor() const {
     return census.nodes == 0
                ? 0.0
                : static_cast<double>(census.total_entries) /
                      static_cast<double>(census.nodes * kMaxFanout);
-  }
-  double FillFactorOf(NodeType t) const {
-    uint64_t n = census.count_by_type[static_cast<size_t>(t)];
-    return n == 0 ? 0.0
-                  : static_cast<double>(
-                        census.entries_by_type[static_cast<size_t>(t)]) /
-                        static_cast<double>(n * kMaxFanout);
   }
 
   std::string Summary() const {

@@ -33,10 +33,13 @@
 // it swaps the buffer out, writes, fdatasyncs ONCE, and publishes the new
 // durable LSN; every waiter whose LSN the batch covered returns without
 // issuing its own fsync.  N concurrent writers therefore cost ~1 fsync per
-// batch, not per write (stats record the amortization).  Durability::kAsync
-// moves the write+fsync to a background flusher (bounded-loss window =
-// flush interval); kNone never fsyncs (the OS page cache still absorbs
-// write()s, so a process crash — not an OS crash — loses nothing).
+// batch, not per write (stats record the amortization).  Under kAsync and
+// kNone an ack means only that the frame sits in the in-memory buffer.  It
+// reaches write() on the background flusher's tick every flush interval
+// (kAsync also fdatasyncs then), when the buffer passes the write-out
+// threshold in Append (256 KiB by default), or on rotation or close.  So in
+// either mode a process crash can lose up to one flush interval of acked
+// writes, and since kNone never fsyncs, an OS crash can lose more.
 
 #ifndef HOT_PERSIST_WAL_H_
 #define HOT_PERSIST_WAL_H_
@@ -70,8 +73,10 @@ namespace persist {
 // Durability of the acknowledgement: what a client may assume about an
 // acked write if the server dies immediately after replying.
 enum class Durability : uint8_t {
-  kNone,   // buffered write(); survives process death, not OS death
-  kAsync,  // background fdatasync every flush interval (bounded loss)
+  kNone,   // write() every flush interval, never fsynced: a process crash
+           // loses up to one interval of acks, an OS crash more
+  kAsync,  // write() + fdatasync every flush interval: a crash loses up to
+           // one interval of acks
   kSync,   // group-committed fdatasync before the ack (zero loss)
 };
 
@@ -317,7 +322,7 @@ class Wal {
  public:
   struct Options {
     Durability durability = Durability::kAsync;
-    unsigned flush_interval_ms = 50;     // async background fsync cadence
+    unsigned flush_interval_ms = 50;     // flusher write(+fsync) cadence
     size_t write_buffer_bytes = 1u << 18;  // inline write-out threshold
   };
 
@@ -362,24 +367,25 @@ class Wal {
   // buffer passes the write-out threshold the appender itself becomes the
   // (non-fsync) flush leader so memory stays bounded.
   uint64_t Append(uint8_t op, KeyRef key, uint64_t value) {
+    // Body: u64 lsn | u8 op | u32 klen | key | [u64 value].
+    const size_t body_len = 13 + key.size() + (op == kWalPut ? 8 : 0);
+    const size_t frame_len = kWalFrameHeaderBytes + body_len;
     std::unique_lock<std::mutex> lk(mu_);
     uint64_t lsn = next_lsn_++;
     size_t before = pending_.size();
-    PutU32(&pending_, 0);  // body_len placeholder
-    PutU32(&pending_, 0);  // crc placeholder
-    size_t body_at = pending_.size();
-    PutU64(&pending_, lsn);
-    pending_.push_back(op);
-    PutU32(&pending_, static_cast<uint32_t>(key.size()));
-    pending_.insert(pending_.end(), key.data(), key.data() + key.size());
-    if (op == kWalPut) PutU64(&pending_, value);
-    uint32_t body_len = static_cast<uint32_t>(pending_.size() - body_at);
-    uint32_t crc = Crc32c(pending_.data() + body_at, body_len);
-    StoreU32(pending_.data() + before, body_len);
-    StoreU32(pending_.data() + before + 4, crc);
+    pending_.resize(before + frame_len);
+    uint8_t* frame = pending_.data() + before;
+    uint8_t* body = frame + kWalFrameHeaderBytes;
+    StoreU64(body, lsn);
+    body[8] = op;
+    StoreU32(body + 9, static_cast<uint32_t>(key.size()));
+    if (key.size() != 0) std::memcpy(body + 13, key.data(), key.size());
+    if (op == kWalPut) StoreU64(body + 13 + key.size(), value);
+    StoreU32(frame, static_cast<uint32_t>(body_len));
+    StoreU32(frame + 4, Crc32c(body, body_len));
     last_appended_lsn_ = lsn;
     stats_.appends++;
-    stats_.append_bytes += pending_.size() - before;
+    stats_.append_bytes += frame_len;
     if (pending_.size() >= options_.write_buffer_bytes && !flushing_) {
       // Threshold write-out only when no leader flush is in flight:
       // FlushLocked requires a single leader, and an in-flight leader

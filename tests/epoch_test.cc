@@ -14,10 +14,14 @@ namespace {
 
 std::atomic<int> g_deleted{0};
 
-void CountingDeleter(void* p) {
-  ++g_deleted;
+// Retired with &g_deleted as its context, so every count also checks that
+// the manager hands each deleter the context it was retired with.
+void CountingDeleter(void* p, void* ctx) {
+  ++*static_cast<std::atomic<int>*>(ctx);
   ::operator delete(p);
 }
+
+void Delete(void* p, void*) { ::operator delete(p); }
 
 TEST(Epoch, SingleThreadedRetireAndCollect) {
   g_deleted = 0;
@@ -25,7 +29,7 @@ TEST(Epoch, SingleThreadedRetireAndCollect) {
   {
     EpochGuard guard(&epochs);
     for (int i = 0; i < 10; ++i) {
-      epochs.Retire(::operator new(16), CountingDeleter);
+      epochs.Retire(::operator new(16), CountingDeleter, &g_deleted);
     }
     // Still pinned: nothing should be freed while we could observe it.
     EXPECT_EQ(g_deleted.load(), 0);
@@ -51,7 +55,7 @@ TEST(Epoch, CollectIsDeferredWhileReaderPinned) {
 
   {
     EpochGuard guard(&epochs);
-    epochs.Retire(::operator new(16), CountingDeleter);
+    epochs.Retire(::operator new(16), CountingDeleter, &g_deleted);
   }
   // The writer's Leave may collect, but the reader entered before the
   // retirement epoch, so the object must survive.
@@ -76,7 +80,7 @@ TEST(Epoch, ManyThreadsNoLeaks) {
       threads.emplace_back([&epochs] {
         for (int i = 0; i < kOpsPerThread; ++i) {
           EpochGuard guard(&epochs);
-          epochs.Retire(::operator new(8), CountingDeleter);
+          epochs.Retire(::operator new(8), CountingDeleter, &g_deleted);
         }
       });
     }
@@ -118,7 +122,7 @@ TEST(Epoch, OverflowThreadsNeverAliasActiveSlots) {
       while (!release_holders) std::this_thread::yield();
       {
         EpochGuard guard(&epochs);
-        epochs.Retire(::operator new(8), [](void* p) { ::operator delete(p); });
+        epochs.Retire(::operator new(8), Delete, nullptr);
       }
       unclaim(slot);
     });
@@ -162,7 +166,7 @@ TEST(Epoch, NestedGuardsKeepOuterPin) {
   std::thread collector([&] {
     {
       EpochGuard guard(&epochs);
-      epochs.Retire(::operator new(16), CountingDeleter);
+      epochs.Retire(::operator new(16), CountingDeleter, &g_deleted);
     }
     size_t slot = epochs.RegisterThread();
     for (int i = 0; i < 4; ++i) epochs.Collect(slot);
@@ -186,7 +190,7 @@ TEST(Epoch, DeeplyNestedGuardsBalance) {
       EpochGuard a(&epochs);
       { EpochGuard b(&epochs); }
     }
-    epochs.Retire(::operator new(8), CountingDeleter);
+    epochs.Retire(::operator new(8), CountingDeleter, &g_deleted);
     size_t slot = epochs.RegisterThread();
     epochs.Collect(slot);
     EXPECT_EQ(g_deleted.load(), 0);  // still pinned by the outer guard
@@ -200,7 +204,7 @@ TEST(Epoch, GlobalEpochAdvances) {
   uint64_t e0 = epochs.global_epoch();
   for (int i = 0; i < 1000; ++i) {
     EpochGuard guard(&epochs);
-    epochs.Retire(::operator new(8), [](void* p) { ::operator delete(p); });
+    epochs.Retire(::operator new(8), Delete, nullptr);
   }
   epochs.CollectAll();
   EXPECT_GT(epochs.global_epoch(), e0);

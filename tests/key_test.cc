@@ -105,7 +105,7 @@ TEST(EncodeU64, PreservesOrder) {
     uint8_t bx[8], by[8];
     EncodeU64(x, bx);
     EncodeU64(y, by);
-    EXPECT_EQ(DecodeU64(bx), x);
+    EXPECT_EQ(LoadBigEndian64(bx), x);
     int c = memcmp(bx, by, 8);
     EXPECT_EQ(c < 0, x < y);
     EXPECT_EQ(c > 0, x > y);
@@ -124,7 +124,7 @@ TEST(Extractors, U64KeyExtractor) {
   KeyScratch scratch;
   KeyRef k = ex(42, scratch);
   EXPECT_EQ(k.size(), 8u);
-  EXPECT_EQ(DecodeU64(k.data()), 42u);
+  EXPECT_EQ(k, U64Key(42).ref());
 }
 
 TEST(Extractors, StringTableExtractor) {

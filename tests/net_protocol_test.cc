@@ -433,7 +433,7 @@ TEST(NetRecordStore, AppendRefusesPastCapacity) {
     EXPECT_EQ(store.appended(), capacity);
     if (capacity > 0) {
       EXPECT_EQ(store.At(capacity - 1).value, capacity - 1);
-      EXPECT_EQ(store.At(0).raw_key().ToStringView(), "cap-0");
+      EXPECT_EQ(store.At(0).raw_key(), K("cap-0"));
     }
   }
 }

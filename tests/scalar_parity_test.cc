@@ -72,9 +72,13 @@ TEST(ScalarParity, PextPdep64RandomPairs) {
     ASSERT_EQ(Pext64(value, mask), ReferencePext(value, mask))
         << "value=" << value << " mask=" << mask;
     ASSERT_EQ(PextScalar(value, mask), ReferencePext(value, mask));
-    ASSERT_EQ(Pdep64(value, mask), ReferencePdep(value, mask))
+    ASSERT_EQ(PdepScalar(value, mask), ReferencePdep(value, mask))
         << "value=" << value << " mask=" << mask;
-    ASSERT_EQ(PdepScalar(value, mask), ReferencePdep(value, mask));
+    // The node code's one PDEP is 32-bit (§4.4 sparse-key recoding).
+    uint32_t v32 = static_cast<uint32_t>(value);
+    uint32_t m32 = static_cast<uint32_t>(mask);
+    ASSERT_EQ(Pdep32(v32, m32), static_cast<uint32_t>(ReferencePdep(v32, m32)))
+        << "value=" << v32 << " mask=" << m32;
   }
 }
 
@@ -92,7 +96,12 @@ TEST(ScalarParity, PextPdep64EdgeMasks) {
     for (int i = 0; i < 100; ++i) {
       uint64_t value = rng.Next();
       ASSERT_EQ(Pext64(value, mask), ReferencePext(value, mask));
-      ASSERT_EQ(Pdep64(value, mask), ReferencePdep(value, mask));
+      for (unsigned half : {0u, 32u}) {
+        uint32_t v32 = static_cast<uint32_t>(value >> half);
+        uint32_t m32 = static_cast<uint32_t>(mask >> half);
+        ASSERT_EQ(Pdep32(v32, m32),
+                  static_cast<uint32_t>(ReferencePdep(v32, m32)));
+      }
     }
   }
 }

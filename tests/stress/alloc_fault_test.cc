@@ -6,7 +6,7 @@
 // returned by destruction, even after injected faults).
 //
 // The injector can also be armed at process start via HOT_ALLOC_FAIL_AT; the
-// programmatic FailAfter/Disarm API used here covers the same code path.
+// programmatic FailAfter API used here covers the same code path.
 
 #include "common/alloc.h"
 
@@ -31,7 +31,7 @@ using RowexU64 = RowexHotTrie<U64KeyExtractor>;
 
 class AllocFaultTest : public ::testing::Test {
  protected:
-  void TearDown() override { AllocFaultInjector::Disarm(); }
+  void TearDown() override { AllocFaultInjector::FailAfter(0); }
 };
 
 // The single-threaded sweeps run over both tries.
@@ -84,7 +84,7 @@ TYPED_TEST(AllocFaultSweep, InsertIsExceptionSafeUnderInjectedFaults) {
       } catch (const std::bad_alloc&) {
         threw = true;
       }
-      AllocFaultInjector::Disarm();
+      AllocFaultInjector::FailAfter(0);
       if (threw) {
         ++faults;
         EXPECT_FALSE(trie.Lookup(U64Key(v).ref()).has_value())
@@ -123,7 +123,7 @@ TYPED_TEST(AllocFaultSweep, RemoveIsExceptionSafeUnderInjectedFaults) {
       } catch (const std::bad_alloc&) {
         threw = true;
       }
-      AllocFaultInjector::Disarm();
+      AllocFaultInjector::FailAfter(0);
       if (threw) {
         ++faults;
         EXPECT_TRUE(trie.Lookup(U64Key(v).ref()).has_value())
@@ -167,7 +167,7 @@ TEST_F(AllocFaultTest, ConcurrentWritersSurviveInjectedFaults) {
       });
     }
     for (auto& th : threads) th.join();
-    AllocFaultInjector::Disarm();
+    AllocFaultInjector::FailAfter(0);
 
     EXPECT_GT(faults.load(), 0u);
     EXPECT_EQ(trie.size(), kThreads * kPerThread);

@@ -35,11 +35,14 @@ struct Payload {
 };
 
 void RetirePayload(EpochManager* epochs, Payload* p) {
-  epochs->Retire(p, [](void* v) {
-    auto* pl = static_cast<Payload*>(v);
-    pl->magic.store(kDeadMagic, std::memory_order_relaxed);
-    delete pl;
-  });
+  epochs->Retire(
+      p,
+      [](void* v, void*) {
+        auto* pl = static_cast<Payload*>(v);
+        pl->magic.store(kDeadMagic, std::memory_order_relaxed);
+        delete pl;
+      },
+      nullptr);
 }
 
 // 12 waves x 48 threads = 576 short-lived threads through a 256-slot table.
@@ -143,18 +146,24 @@ TEST(EpochTorture, ExitingThreadsDoNotStrandLimboItems) {
       std::thread([&] {
         EpochGuard guard(&epochs);
         for (int i = 0; i < 4; ++i) {
-          epochs.Retire(new int(i),
-                        [](void* p) { delete static_cast<int*>(p); });
+          epochs.Retire(
+              new int(i), [](void* p, void*) { delete static_cast<int*>(p); },
+              nullptr);
         }
       }).join();
     }
     // Retire counted objects from the main thread and let destruction
-    // collect everything (main thread never entered an epoch => idle).
+    // collect everything (main thread never entered an epoch => idle).  The
+    // counter is also each deleter's context, which it must receive.
     for (int i = 0; i < 4; ++i) {
-      epochs.Retire(&deleted, [](void* p) {
-        static_cast<std::atomic<int>*>(p)->fetch_add(1,
-                                                     std::memory_order_relaxed);
-      });
+      epochs.Retire(
+          &deleted,
+          [](void* p, void* ctx) {
+            EXPECT_EQ(ctx, p);
+            static_cast<std::atomic<int>*>(ctx)->fetch_add(
+                1, std::memory_order_relaxed);
+          },
+          &deleted);
     }
   }
   EXPECT_EQ(deleted.load(), 4);

@@ -37,9 +37,6 @@ void CheckCensus(const obs::TelemetrySnapshot& s, size_t entries) {
   for (size_t t = 0; t < kNumNodeTypes; ++t) {
     nodes_by_type += s.census.count_by_type[t];
     entries_by_type += s.census.entries_by_type[t];
-    double ff = s.FillFactorOf(static_cast<NodeType>(t));
-    EXPECT_GE(ff, 0.0);
-    EXPECT_LE(ff, 1.0);
   }
   EXPECT_EQ(nodes_by_type, s.census.nodes);
   EXPECT_EQ(entries_by_type, s.census.total_entries);

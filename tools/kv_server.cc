@@ -14,8 +14,12 @@
 // WAL it finds there on startup, write-ahead-logs every PUT/DELETE, and
 // re-snapshots whenever the WAL segment passes --snapshot-trigger-mb.
 // --durability picks the ack contract (persist/wal.h): sync = fsync
-// before every ack (group-committed), async = background fsync every
-// --wal-flush-ms, none = page-cache only.
+// before every ack (group-committed).  Under async and none an ack means
+// the write sits in the WAL's in-memory buffer, which is written out every
+// --wal-flush-ms (async also fsyncs it then), when it passes 256 KiB, and
+// on snapshot rotation or shutdown: a process crash can lose up to one
+// flush interval of acked writes, and under none an OS crash can lose
+// more.
 //
 // Every flag value is validated up front; a bad value prints what was
 // wrong AND the usage block, and exits 2 — never starts half-configured.
@@ -51,10 +55,14 @@ void Usage(FILE* to) {
       "  --scalar                  force the scalar GET drain\n"
       "  --data-dir DIR            durable mode: recover from / persist to\n"
       "                            DIR (must exist and be writable)\n"
-      "  --durability MODE         none | async | sync (default sync)\n"
+      "  --durability MODE         none | async | sync (default sync);\n"
+      "                            none/async acks can be lost to a crash\n"
+      "                            for up to one --wal-flush-ms interval\n"
       "  --snapshot-trigger-mb MB  auto-snapshot once the WAL segment\n"
       "                            exceeds MB MiB; 0 = never (default 64)\n"
-      "  --wal-flush-ms MS         async fsync cadence (default 50)\n"
+      "  --wal-flush-ms MS         WAL write cadence under none and async,\n"
+      "                            also the fsync cadence under async\n"
+      "                            (default 50)\n"
       "  --stats-every SECONDS     periodic stats line; 0 = off\n"
       "  --help                    this text\n");
 }
